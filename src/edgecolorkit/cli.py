@@ -31,8 +31,8 @@ from .gadgets import GadgetError, derive_distinct_diagonal, parse_gadget_name, v
 from .graphs import EdgeSelector, GadgetGraph, MultiGraph, parse_graph, render_graph
 from .holant import decompose_domain_invariant
 from .reduction import (
-    check_certificate,
     interpolation_pipeline,
+    recount_certificate,
     select_gadget,
     simplify_equal_case,
 )
@@ -55,8 +55,20 @@ def _load_multigraph(path: str) -> tuple[MultiGraph, str]:
     return g, digest
 
 
+def _dec(value) -> str:
+    """str() of an int or Fraction of any length. str() refuses ints over
+    4300 digits, so longer ones are split into 4000-digit blocks."""
+    if value.denominator != 1:
+        return "%s/%s" % (_dec(value.numerator), _dec(value.denominator))
+    n = int(value)
+    if abs(n).bit_length() <= 14000:  # at most 4215 digits
+        return str(n)
+    high, low = divmod(abs(n), 10 ** 4000)
+    return "-" * (n < 0) + _dec(high) + str(low).zfill(4000)
+
+
 def _matrix_strings(matrix) -> list[list[str]]:
-    return [[str(v) for v in row] for row in matrix]
+    return [[_dec(v) for v in row] for row in matrix]
 
 
 def cmd_count(args) -> tuple[dict, int]:
@@ -67,7 +79,7 @@ def cmd_count(args) -> tuple[dict, int]:
         count = count_assignments(g, args.kappa)
     report = {
         "command": "count",
-        "count": str(count),
+        "count": _dec(count),
         "edges": g.edge_count,
         "input": args.input,
         "input_sha256": digest,
@@ -84,9 +96,9 @@ def cmd_verify_gadget(args) -> tuple[dict, int]:
     if args.output:
         Path(args.output).write_text(render_graph(spec.gadget))
     report = {
-        "a": None if rep.a is None else str(rep.a),
-        "b": None if rep.b is None else str(rep.b),
-        "c": str(rep.c),
+        "a": None if rep.a is None else _dec(rep.a),
+        "b": None if rep.b is None else _dec(rep.b),
+        "c": _dec(rep.c),
         "command": "verify-gadget",
         "domain_invariant": rep.domain_invariant,
         "gadget": args.gadget,
@@ -106,9 +118,9 @@ def cmd_reduce(args) -> tuple[dict, int]:
     g_prime, cert = simplify_equal_case(g, args.kappa, spec)
     Path(args.output).write_text(render_graph(g_prime))
     report = {
-        "c": str(cert.c),
+        "c": _dec(cert.c),
         "command": "reduce",
-        "factor": str(cert.predicted_factor()),
+        "factor": _dec(cert.predicted_factor()),
         "gadget": cert.gadget_name,
         "input": args.input,
         "input_edges": cert.edge_count,
@@ -122,10 +134,10 @@ def cmd_reduce(args) -> tuple[dict, int]:
     }
     code = 0
     if args.check:
-        verified = check_certificate(g, g_prime, cert)
+        count_input, count_output, verified = recount_certificate(g, g_prime, cert)
         report["check"] = {
-            "count_input": str(count_assignments(g, args.kappa)),
-            "count_output": str(count_assignments(g_prime, args.kappa)),
+            "count_input": _dec(count_input),
+            "count_output": _dec(count_output),
             "verified": verified,
         }
         if not verified:
@@ -146,27 +158,27 @@ def cmd_interpolate(args) -> tuple[dict, int]:
         derived = True
     system = interpolation_pipeline(g, args.kappa, spec, selector)
     report = {
-        "columns": [str(v) for v in system.column_values],
+        "columns": [_dec(v) for v in system.column_values],
         "command": "interpolate",
-        "count": str(system.recovered),
+        "count": _dec(system.recovered),
         "derived": derived,
         "gadget": args.gadget,
         "gadget_used": spec.name,
         "input": args.input,
         "input_sha256": digest,
         "kappa": args.kappa,
-        "lambda1": str(system.lambda1),
-        "lambda2": str(system.lambda2),
+        "lambda1": _dec(system.lambda1),
+        "lambda2": _dec(system.lambda2),
         "m": system.m,
-        "rows": [str(v) for v in system.rows],
+        "rows": [_dec(v) for v in system.rows],
         "selector": args.selector,
-        "solution": [str(v) for v in system.solution],
+        "solution": [_dec(v) for v in system.solution],
     }
     code = 0
     if args.check:
         direct = count_assignments(g, args.kappa)
         matches = direct == system.recovered
-        report["check"] = {"direct_count": str(direct), "verified": matches}
+        report["check"] = {"direct_count": _dec(direct), "verified": matches}
         if not matches:
             code = 1
     return report, code
@@ -224,8 +236,8 @@ def cmd_sat_transform(args) -> tuple[dict, int]:
     if phi_prime.variable_count <= BRUTE_FORCE_VARIABLE_CAP:
         models = count_sat(phi)
         models_prime = count_sat(phi_prime)
-        report["count"] = str(models)
-        report["transformed_count"] = str(models_prime)
+        report["count"] = _dec(models)
+        report["transformed_count"] = _dec(models_prime)
     else:
         report["count"] = None
         report["transformed_count"] = None

@@ -2,175 +2,178 @@
 
 A proper edge coloring with palette {0..kappa-1} assigns every edge a color
 so that edges sharing a vertex always differ. All counters here are exact
-over Python integers. The workhorse is a backtracking search that always
-branches on the uncolored edge with the fewest remaining colors (ties broken
-by smallest edge index), pruning as soon as any edge has none left; the
-search order is therefore deterministic for a given graph.
+over Python integers.
+
+count_assignments, count_extensions, decompose_extension and
+extension_matrix run on one engine: a forward, layered dynamic program over
+a static edge order (frontier-based search). Its state records, per color,
+which frontier vertices use it. The constraints never name a color, so
+states are kept up to palette permutation, and colors with equal patterns
+are one branch weighted by their number. One layer is live at a time and
+nothing recurses. The cost follows the frontier width, so the order is the
+narrowest of a few cheap candidates. The perfect-matching decomposition
+below is an independent route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError
 from .graphs import GadgetGraph, MultiGraph
 
 
-def _search(edges, vertex_count, kappa, masks, on_leaf=None):
-    """Count completions of a partial coloring.
-
-    masks holds, per vertex, the bitmask of colors already used there. When
-    on_leaf is given it is called once per completed coloring (with the color
-    list by edge index) and the return value is the number of leaves visited;
-    otherwise leaves are just counted.
-    """
-    n_edges = len(edges)
-    full = (1 << kappa) - 1
-    eu = [e[0] for e in edges]
-    ev = [e[1] for e in edges]
-    colored = bytearray(n_edges)
-    colors = [0] * n_edges
-    total = 0
-
-    def rec(remaining):
-        nonlocal total
-        if remaining == 0:
-            total += 1
-            if on_leaf is not None:
-                on_leaf(colors)
-            return
-        best = -1
-        best_avail = 0
-        best_n = kappa + 1
-        for e in range(n_edges):
-            if colored[e]:
-                continue
-            avail = full & ~(masks[eu[e]] | masks[ev[e]])
-            cnt = avail.bit_count()
-            if cnt < best_n:
-                if cnt == 0:
-                    return
-                best_n = cnt
-                best = e
-                best_avail = avail
-                if cnt == 1:
-                    break
-        u = eu[best]
-        v = ev[best]
-        colored[best] = 1
-        a = best_avail
-        while a:
-            bit = a & -a
-            a ^= bit
-            masks[u] |= bit
-            masks[v] |= bit
-            colors[best] = bit.bit_length() - 1
-            rec(remaining - 1)
-            masks[u] ^= bit
-            masks[v] ^= bit
-        colored[best] = 0
-
-    rec(n_edges)
-    return total
-
-
-def _frontier_edge_order(vertex_count: int, edges) -> list[int]:
-    """A static edge order that keeps the set of partially colored, still
-    constrained vertices small: at each step pick the edge opening the
-    fewest new vertices net of the vertices it closes, smallest index on
-    ties."""
-    m = len(edges)
-    remaining = [0] * vertex_count
-    for u, v in edges:
-        remaining[u] += 1
-        remaining[v] += 1
-    is_open = [False] * vertex_count
-    unused = list(range(m))
+def _greedy_order(edges, inc) -> list[int]:
+    """At each step the edge opening the fewest new vertices net of the
+    vertices it closes, then the fewest opened, smallest index on ties."""
+    remaining = [len(x) for x in inc]
+    unused = set(range(len(edges)))
     order = []
-    for _ in range(m):
-        best = -1
-        best_key = None
-        for e in unused:
-            u, v = edges[e]
-            opens = (not is_open[u]) + (not is_open[v])
-            closes = (remaining[u] == 1) + (remaining[v] == 1)
-            key = (opens - closes, opens, e)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = e
+
+    def key(e):
+        u, v = edges[e]
+        opens = (remaining[u] == len(inc[u])) + (remaining[v] == len(inc[v]))
+        return (opens - (remaining[u] == 1) - (remaining[v] == 1), opens, e)
+
+    while unused:
+        best = min(unused, key=key)
         unused.remove(best)
         order.append(best)
-        u, v = edges[best]
-        remaining[u] -= 1
-        remaining[v] -= 1
-        is_open[u] = remaining[u] > 0
-        is_open[v] = remaining[v] > 0
+        for w in edges[best]:
+            remaining[w] -= 1
     return order
 
 
-def _frontier_count(vertex_count: int, edges, kappa: int, seed_masks) -> int:
-    """Count completions by dynamic programming over a static edge order.
+def _bfs_order(edges, inc, starts) -> tuple[list[int], int]:
+    """Edges in breadth-first order, and the last vertex visited. The
+    search starts at starts[0], each further component at its first vertex
+    in starts; an edge follows the later of its ends, then the earlier."""
+    seen = [False] * len(inc)
+    visited: list[int] = []
+    for s in starts:
+        if not seen[s]:
+            seen[s] = True
+            component = [s]
+            for v in component:
+                for f in inc[v]:
+                    w = edges[f][0] + edges[f][1] - v
+                    if not seen[w]:
+                        seen[w] = True
+                        component.append(w)
+            visited += component
+    pos = [0] * len(inc)
+    for i, v in enumerate(visited):
+        pos[v] = i
 
-    The state after a prefix is the used-color mask of every vertex still
-    touched by a remaining edge; states are canonicalized under palette
-    permutation (the per-color usage patterns over those vertices, sorted),
-    which is sound because the distinctness constraints never name a color.
-    Memoizing on the canonical state makes structured instances polynomial
-    where leaf enumeration is linear in the count itself.
+    def key(e):
+        a, b = pos[edges[e][0]], pos[edges[e][1]]
+        return (max(a, b), min(a, b), e)
+
+    return sorted(range(len(edges)), key=key), visited[-1]
+
+
+def _plan(edges, inc, order, pinned):
+    """Engine steps along an edge order, with their cost (largest frontier,
+    sum of frontier sizes) and the frontier slot of each pinned vertex.
+
+    A step is (both, keep): the slot bits of the edge's ends, and a mask
+    clearing the slots of the vertices it closes (-1 when none). A vertex
+    holds a slot from its first edge (pinned ones from the start) through
+    its last.
     """
-    m = len(edges)
-    if m == 0:
-        return 1
-    order = _frontier_edge_order(vertex_count, edges)
-    oe = [edges[i] for i in order]
-    active: list[tuple[int, ...]] = [()] * (m + 1)
-    cur: list[int] = []
-    seen = [False] * vertex_count
-    for pos in range(m - 1, -1, -1):
-        for w in oe[pos]:
-            if not seen[w]:
-                seen[w] = True
-                cur.append(w)
-        active[pos] = tuple(cur)
-    masks = list(seed_masks)
-    full = (1 << kappa) - 1
-    memo: dict = {}
+    remaining = [len(x) for x in inc]
+    slot = [-1] * len(inc)
+    free = list(range(len(inc) - 1, -1, -1))
+    for w in pinned:
+        if remaining[w] and slot[w] < 0:
+            slot[w] = free.pop()
+    pins = {w: slot[w] for w in pinned if slot[w] >= 0}
+    steps = []
+    peak = total = 0
+    for e in order:
+        pair = edges[e]
+        both = drop = 0
+        for w in pair:
+            if slot[w] < 0:
+                slot[w] = free.pop()
+            both |= 1 << slot[w]
+        for w in pair:
+            remaining[w] -= 1
+            if not remaining[w]:
+                drop |= 1 << slot[w]
+                free.append(slot[w])
+        steps.append((both, ~drop))
+        size = len(inc) - len(free)
+        peak = max(peak, size)
+        total += size
+    return (peak, total), steps, pins
 
-    def state_key(pos: int):
+
+def _best_plan(edges, inc, pinned=()):
+    """The _plan of the cheapest of three candidate orders: the greedy
+    order, a breadth-first order from a minimum-degree vertex, and one
+    restarted from where that search ended. On a tie the greedy order is
+    kept."""
+    orders = [_greedy_order(edges, inc)]
+    starts = sorted((w for w in range(len(inc)) if inc[w]), key=lambda w: len(inc[w]))
+    if starts:
+        order, last = _bfs_order(edges, inc, starts)
+        orders += [order, _bfs_order(edges, inc, [last] + starts)[0]]
+    return min((_plan(edges, inc, order, pinned) for order in orders), key=lambda p: p[0])
+
+
+def _run(steps, kappa: int, start: tuple[int, ...]) -> int:
+    """Push a canonical start state through the steps, one layer at a time;
+    the number of completions."""
+    layer = {start: 1}
+    for both, keep in steps:
+        nxt: dict = {}
+        for pats, mult in layer.items():
+            for p in set(pats):
+                if p & both:
+                    continue
+                new = list(pats)
+                new[new.index(p)] = p | both
+                if keep != -1:
+                    new = [q & keep for q in new]
+                new.sort()
+                key = tuple(new)
+                nxt[key] = nxt.get(key, 0) + mult * pats.count(p)
+        if not nxt:
+            return 0
+        layer = nxt
+    return sum(layer.values())
+
+
+def _counts(g: MultiGraph, jobs, dangling=()) -> list[int]:
+    """Colorings of g with the given danglers for each (kappa, boundary)
+    job, from one plan. Each job gets its own pinned start state; jobs
+    whose canonical start states are equal share one engine run. A palette
+    smaller than the largest degree of g admits no coloring."""
+    inc = g.incidence_lists()
+    top = max(map(len, inc), default=0)
+    plan = None
+    runs: dict = {}
+    out = []
+    for kappa, boundary in jobs:
+        # a palette below the largest degree, or two danglers share a color
+        if kappa < top or len(set(zip(dangling, boundary))) < len(boundary):
+            out.append(0)
+            continue
+        if plan is None:
+            plan = _best_plan(g.edges, inc, dangling)
+        _, steps, pins = plan
         pats = [0] * kappa
-        for wi, w in enumerate(active[pos]):
-            mw = masks[w]
-            while mw:
-                bit = mw & -mw
-                mw ^= bit
-                pats[bit.bit_length() - 1] |= 1 << wi
-        pats.sort()
-        return (pos, tuple(pats))
-
-    def rec(pos: int) -> int:
-        if pos == m:
-            return 1
-        key = state_key(pos)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        u, v = oe[pos]
-        avail = full & ~(masks[u] | masks[v])
-        total = 0
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            masks[u] |= bit
-            masks[v] |= bit
-            total += rec(pos + 1)
-            masks[u] ^= bit
-            masks[v] ^= bit
-        memo[key] = total
-        return total
-
-    return rec(0)
+        for v, c in zip(dangling, boundary):
+            if v in pins:
+                pats[c] |= 1 << pins[v]
+        start = tuple(sorted(pats))
+        if start not in runs:
+            runs[start] = _run(steps, kappa, start)
+        out.append(runs[start])
+    return out
 
 
 def count_assignments(g: MultiGraph, kappa: int) -> int:
@@ -182,11 +185,7 @@ def count_assignments(g: MultiGraph, kappa: int) -> int:
         raise PreconditionError("gadget graphs are counted via count_extensions")
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    if not g.edges:
-        return 1
-    if kappa == 0:
-        return 0
-    return _frontier_count(g.vertex_count, g.edges, kappa, [0] * g.vertex_count)
+    return _counts(g, [(kappa, ())])[0]
 
 
 def count_extensions(g: GadgetGraph, kappa: int, boundary: Sequence[int]) -> int:
@@ -204,51 +203,28 @@ def count_extensions(g: GadgetGraph, kappa: int, boundary: Sequence[int]) -> int
         )
     if kappa < 1:
         raise ValueError("kappa must be positive")
-    masks = [0] * g.vertex_count
-    for v, c in zip(g.dangling, boundary):
-        c = int(c)
+    boundary = [int(c) for c in boundary]
+    for c in boundary:
         if not (0 <= c < kappa):
             raise PreconditionError("boundary color %d outside palette" % c)
-        bit = 1 << c
-        if masks[v] & bit:
-            return 0
-        masks[v] |= bit
-    return _frontier_count(g.vertex_count, g.base.edges, kappa, masks)
+    return _counts(g.base, [(kappa, boundary)], g.dangling)[0]
 
 
 def extension_matrix(g: GadgetGraph, kappa: int) -> tuple[tuple[int, ...], ...]:
-    """All extension counts of a 2-dangler gadget in one sweep.
+    """The extension matrix of a 2-dangler gadget: M[c1][c2] =
+    count_extensions(g, kappa, [c1, c2]).
 
-    Returns M with M[c1][c2] = count_extensions(g, kappa, [c1, c2]). Computed
-    by enumerating internal colorings once and crediting every compatible
-    boundary pair, which is much cheaper than kappa**2 separate searches.
+    Each entry is counted from its own pinned start state; nothing is filled
+    in by symmetry. Entries with equal canonical start states share one
+    engine run, so danglers at two distinct vertices take two runs.
     """
     if len(g.dangling) != 2:
         raise PreconditionError("extension_matrix needs exactly 2 dangling edges")
     if kappa < 1:
         raise ValueError("kappa must be positive")
-    a1, a2 = g.dangling
-    full = (1 << kappa) - 1
-    masks = [0] * g.vertex_count
-    out = [[0] * kappa for _ in range(kappa)]
-
-    def credit(_colors):
-        avail1 = full & ~masks[a1]
-        while avail1:
-            bit1 = avail1 & -avail1
-            avail1 ^= bit1
-            c1 = bit1.bit_length() - 1
-            row = out[c1]
-            avail2 = full & ~masks[a2]
-            if a2 == a1:
-                avail2 &= ~bit1
-            while avail2:
-                bit2 = avail2 & -avail2
-                avail2 ^= bit2
-                row[bit2.bit_length() - 1] += 1
-
-    _search(g.base.edges, g.vertex_count, kappa, masks, on_leaf=credit)
-    return tuple(tuple(row) for row in out)
+    jobs = [(kappa, (c1, c2)) for c1 in range(kappa) for c2 in range(kappa)]
+    flat = _counts(g.base, jobs, g.dangling)
+    return tuple(tuple(flat[c1 * kappa:(c1 + 1) * kappa]) for c1 in range(kappa))
 
 
 def decompose_extension(g: GadgetGraph, kappa: int) -> tuple[int, int]:
@@ -264,9 +240,7 @@ def decompose_extension(g: GadgetGraph, kappa: int) -> tuple[int, int]:
         raise PreconditionError("decomposition needs exactly 2 dangling edges")
     if kappa < 2:
         raise PreconditionError("need at least 2 colors to separate a from b")
-    a = count_extensions(g, kappa, (0, 0))
-    b = count_extensions(g, kappa, (0, 1))
-    return a, b
+    return tuple(_counts(g.base, [(kappa, (0, 0)), (kappa, (0, 1))], g.dangling))
 
 
 def enumerate_perfect_matchings(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
@@ -379,7 +353,9 @@ def partition_spectrum(g: MultiGraph, kappa: int) -> PartitionSpectrum:
     """
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    a = [count_assignments(g, j) for j in range(kappa + 1)]
+    if isinstance(g, GadgetGraph):
+        raise PreconditionError("gadget graphs are counted via count_extensions")
+    a = _counts(g, [(j, ()) for j in range(kappa + 1)])
     counts: list[int] = []
     for m in range(kappa + 1):
         rem = a[m] - sum(counts[t] * math.perm(m, t) for t in range(m))

@@ -75,8 +75,10 @@ class KeyPropertyReport:
 
 
 def verify_key_property(spec: GadgetSpec, kappa: int) -> KeyPropertyReport:
-    """Compute the extension matrix with every internal vertex constrained
-    to distinct incident colors, then test the c * I shape."""
+    """Compute the extension matrix and test the c * I shape. The counting
+    engine works up to palette permutation, so the matrix is domain
+    invariant by construction; the tests check its entries against
+    brute-force oracles."""
     matrix = extension_matrix(spec.gadget, kappa)
     dec = decompose_domain_invariant(matrix)
     if dec is None:

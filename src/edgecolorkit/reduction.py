@@ -97,13 +97,21 @@ def simplify_equal_case(
     return g_prime, cert
 
 
+def recount_certificate(
+    g: MultiGraph, g_prime: MultiGraph, cert: ReductionCertificate
+) -> tuple[int, int, bool]:
+    """Count both sides once: (count of g, count of g_prime, whether they
+    satisfy the certified identity)."""
+    count_g = count_assignments(g, cert.kappa)
+    count_g_prime = count_assignments(g_prime, cert.kappa)
+    return count_g, count_g_prime, count_g_prime == cert.predicted_factor() * count_g
+
+
 def check_certificate(
     g: MultiGraph, g_prime: MultiGraph, cert: ReductionCertificate
 ) -> bool:
     """Recount both sides and test the certified identity."""
-    lhs = count_assignments(g_prime, cert.kappa)
-    rhs = cert.predicted_factor() * count_assignments(g, cert.kappa)
-    return lhs == rhs
+    return recount_certificate(g, g_prime, cert)[2]
 
 
 def select_gadget(kappa: int, r: int, want_planar: bool) -> GadgetSpec:

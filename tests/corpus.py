@@ -36,6 +36,14 @@ def prism():
     )
 
 
+def ladder_ring(n):
+    """C_n x K_2 (the circular ladder): two n-cycles joined by rungs."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(n + i, n + (i + 1) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    return MultiGraph(2 * n, edges)
+
+
 def cube():
     """The 3-cube: 3-regular bipartite on 8 vertices."""
     edges = []

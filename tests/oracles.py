@@ -61,6 +61,45 @@ def oracle_count_extensions(vertex_count, edges, dangling, boundary, kappa):
     return total
 
 
+def oracle_count_extensions_pruned(vertex_count, edges, dangling, boundary, kappa):
+    """The count of oracle_count_extensions by a depth-first search that
+    always branches on the edge with the fewest colors still free at both
+    ends. It visits partial colorings instead of all kappa ** len(edges)
+    assignments, so it reaches gadgets too large for the plain oracle."""
+    used = [0] * vertex_count
+    for vertex, color in zip(dangling, boundary):
+        if used[vertex] >> color & 1:
+            return 0
+        used[vertex] |= 1 << color
+    full = (1 << kappa) - 1
+    left = list(range(len(edges)))
+
+    def free(i):
+        u, v = edges[i]
+        return full & ~(used[u] | used[v])
+
+    def extend():
+        if not left:
+            return 1
+        best = min(left, key=lambda i: bin(free(i)).count("1"))
+        colors = free(best)
+        u, v = edges[best]
+        left.remove(best)
+        total = 0
+        for color in range(kappa):
+            bit = 1 << color
+            if colors & bit:
+                used[u] |= bit
+                used[v] |= bit
+                total += extend()
+                used[u] ^= bit
+                used[v] ^= bit
+        left.append(best)
+        return total
+
+    return extend()
+
+
 # ---------------------------------------------------------------------------
 # partition oracles
 

@@ -1,10 +1,12 @@
 """Command-line interface: reports, determinism, exit codes."""
 
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
-from edgecolorkit import cli, count_assignments, parse_graph
+from edgecolorkit import MultiGraph, cli, count_assignments, parse_graph, reduction
 from edgecolorkit.graphs import GadgetGraph
 
 from corpus import bundle, complete, path, petersen_open_spec
@@ -120,6 +122,26 @@ def test_reduce_with_check(capsys, b3_file, tmp_path):
     assert count_assignments(reduced, 3) == 48
 
 
+def test_reduce_check_counts_each_side_once(capsys, monkeypatch, b3_file, tmp_path):
+    counted = []
+
+    def counting(g, kappa):
+        counted.append(g)
+        return count_assignments(g, kappa)
+
+    monkeypatch.setattr(reduction, "count_assignments", counting)
+    monkeypatch.setattr(cli, "count_assignments", counting)
+    code, out, _ = run_cli(
+        capsys,
+        "reduce", "--input", b3_file, "--kappa", "3", "--r", "3",
+        "--planar", "--check", "--output", str(tmp_path / "reduced.txt"),
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["check"] == {"count_input": "6", "count_output": "48", "verified": True}
+    assert len(counted) == 2
+
+
 def test_reduce_rejects_irregular_input(capsys, tmp_path):
     target = tmp_path / "path.txt"
     target.write_text(path(2).render())
@@ -182,6 +204,42 @@ def test_interpolate_refuses_equal_palette_gadget(capsys, b3_file):
     )
     assert code == 3
     assert "palette-equal reduction" in err
+
+
+def test_interpolate_renders_rows_past_the_digit_limit(capsys, tmp_path):
+    # A 40-cycle with every other edge doubled: 40 chained edges, and rows
+    # longer than the 4300 digits str() converts by default.
+    edges = []
+    for i in range(40):
+        edges += [(i, (i + 1) % 40)] * (2 - i % 2)
+    target = tmp_path / "ring40.txt"
+    target.write_text(MultiGraph(40, edges).render())
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(
+        capsys,
+        "interpolate", "--input", str(target), "--kappa", "4", "--gadget", "fnp:4:3",
+        "--check",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["m"] == 40
+    assert report["count"] == "3833759995746010005504"
+    assert report["check"]["verified"] is True
+    assert max(len(v) for v in report["rows"]) > 4300
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_decimal_rendering_is_str_without_the_digit_limit():
+    values = [0, -5, 10 ** 8000 + 1, -(7 ** 20000), Fraction(12), Fraction(3, 4),
+              Fraction(-(10 ** 5000), 3)]
+    limit = sys.get_int_max_str_digits()
+    rendered = [cli._dec(v) for v in values]
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert rendered == [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
