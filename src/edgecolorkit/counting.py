@@ -4,19 +4,23 @@ A proper edge coloring with palette {0..kappa-1} assigns every edge a color
 so that edges sharing a vertex always differ. All counters here are exact
 over Python integers.
 
-count_assignments, count_extensions, decompose_extension and
-extension_matrix run on one engine: a forward, layered dynamic program over
-a static edge order (frontier-based search). Its state records, per color,
-which frontier vertices use it. The constraints never name a color, so
-states are kept up to palette permutation, and colors with equal patterns
-are one branch weighted by their number. One layer is live at a time and
-nothing recurses. The cost follows the frontier width, so the order is the
-narrowest of a few cheap candidates. The perfect-matching decomposition
-below is an independent route.
+count_assignments, count_weighted_assignments, count_extensions,
+decompose_extension and extension_matrix run on one engine: a forward,
+layered dynamic program over a static edge order (frontier-based search).
+Its state records, per color, which frontier vertices use it. The
+constraints never name a color, so states are kept up to palette
+permutation, and colors with equal patterns are one branch weighted by
+their number. An edge may carry a domain-invariant weight (alpha when its
+two halves share a color, beta when they differ), which keeps that
+symmetry. One layer is live at a time and nothing recurses. The cost
+follows the frontier width, so the order is the narrowest of a few cheap
+candidates. The perfect-matching decomposition below is an independent
+route.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,9 +31,14 @@ from .graphs import GadgetGraph, MultiGraph
 
 def _greedy_order(edges, inc) -> list[int]:
     """At each step the edge opening the fewest new vertices net of the
-    vertices it closes, then the fewest opened, smallest index on ties."""
+    vertices it closes, then the fewest opened, smallest index on ties.
+
+    A key only falls, and only when an end is first touched or left with
+    one edge. The heap gets a fresh entry for each edge at an end at those
+    two moments and skips stale ones, so it picks as a full rescan would
+    in O(E log E)."""
     remaining = [len(x) for x in inc]
-    unused = set(range(len(edges)))
+    used = [False] * len(edges)
     order = []
 
     def key(e):
@@ -37,12 +46,21 @@ def _greedy_order(edges, inc) -> list[int]:
         opens = (remaining[u] == len(inc[u])) + (remaining[v] == len(inc[v]))
         return (opens - (remaining[u] == 1) - (remaining[v] == 1), opens, e)
 
-    while unused:
-        best = min(unused, key=key)
-        unused.remove(best)
+    heap = [key(e) for e in range(len(edges))]
+    heapq.heapify(heap)
+    while heap:
+        entry = heapq.heappop(heap)
+        best = entry[2]
+        if used[best] or entry != key(best):
+            continue
+        used[best] = True
         order.append(best)
         for w in edges[best]:
             remaining[w] -= 1
+            if remaining[w] in (1, len(inc[w]) - 1):
+                for f in inc[w]:
+                    if not used[f]:
+                        heapq.heappush(heap, key(f))
     return order
 
 
@@ -74,12 +92,13 @@ def _bfs_order(edges, inc, starts) -> tuple[list[int], int]:
     return sorted(range(len(edges)), key=key), visited[-1]
 
 
-def _plan(edges, inc, order, pinned):
+def _plan(edges, inc, order, pinned, weighted=frozenset()):
     """Engine steps along an edge order, with their cost (largest frontier,
     sum of frontier sizes) and the frontier slot of each pinned vertex.
 
-    A step is (both, keep): the slot bits of the edge's ends, and a mask
-    clearing the slots of the vertices it closes (-1 when none). A vertex
+    A step is (both, keep, half): the slot bits of the edge's ends, a mask
+    clearing the slots of the vertices it closes (-1 when none), and for an
+    edge in weighted the slot bit of its first end (else 0). A vertex
     holds a slot from its first edge (pinned ones from the start) through
     its last.
     """
@@ -104,14 +123,15 @@ def _plan(edges, inc, order, pinned):
             if not remaining[w]:
                 drop |= 1 << slot[w]
                 free.append(slot[w])
-        steps.append((both, ~drop))
+        half = 1 << slot[pair[0]] if e in weighted else 0
+        steps.append((both, ~drop, half))
         size = len(inc) - len(free)
         peak = max(peak, size)
         total += size
     return (peak, total), steps, pins
 
 
-def _best_plan(edges, inc, pinned=()):
+def _best_plan(edges, inc, pinned=(), weighted=frozenset()):
     """The _plan of the cheapest of three candidate orders: the greedy
     order, a breadth-first order from a minimum-degree vertex, and one
     restarted from where that search ended. On a tie the greedy order is
@@ -121,26 +141,60 @@ def _best_plan(edges, inc, pinned=()):
     if starts:
         order, last = _bfs_order(edges, inc, starts)
         orders += [order, _bfs_order(edges, inc, [last] + starts)[0]]
-    return min((_plan(edges, inc, order, pinned) for order in orders), key=lambda p: p[0])
+    return min(
+        (_plan(edges, inc, order, pinned, weighted) for order in orders),
+        key=lambda p: p[0],
+    )
 
 
-def _run(steps, kappa: int, start: tuple[int, ...]) -> int:
+def _run(steps, kappa: int, start: tuple[int, ...], split: int = 0) -> int:
     """Push a canonical start state through the steps, one layer at a time;
-    the number of completions."""
+    the number of completions.
+
+    A weighted step (half != 0) colors the edge's two halves on their own,
+    each proper at its end, and counts a pair of distinct colors split
+    times. The weight depends only on whether the two colors are equal, so
+    states stay canonical up to palette permutation.
+    """
     layer = {start: 1}
-    for both, keep in steps:
+    for both, keep, half in steps:
         nxt: dict = {}
-        for pats, mult in layer.items():
-            for p in set(pats):
-                if p & both:
-                    continue
-                new = list(pats)
-                new[new.index(p)] = p | both
-                if keep != -1:
-                    new = [q & keep for q in new]
-                new.sort()
-                key = tuple(new)
-                nxt[key] = nxt.get(key, 0) + mult * pats.count(p)
+        if not half:
+            for pats, mult in layer.items():
+                for p in set(pats):
+                    if p & both:
+                        continue
+                    new = list(pats)
+                    new[new.index(p)] = p | both
+                    if keep != -1:
+                        new = [q & keep for q in new]
+                    new.sort()
+                    key = tuple(new)
+                    nxt[key] = nxt.get(key, 0) + mult * pats.count(p)
+        else:
+            other = both ^ half
+            for pats, mult in layer.items():
+                distinct = set(pats)
+                for p in distinct:
+                    count = pats.count(p)
+                    # one color at both ends: a pattern free at both
+                    if not p & both:
+                        new = list(pats)
+                        new[new.index(p)] = p | both
+                        key = tuple(sorted(r & keep for r in new))
+                        nxt[key] = nxt.get(key, 0) + mult * count
+                    if p & half:
+                        continue
+                    # p's color at the first end, another color q's at the second
+                    for q in distinct:
+                        ways = count * (pats.count(q) - (q == p))
+                        if q & other or not ways:
+                            continue
+                        new = list(pats)
+                        new[new.index(p)] = p | half
+                        new[new.index(q)] = q | other
+                        key = tuple(sorted(r & keep for r in new))
+                        nxt[key] = nxt.get(key, 0) + mult * split * ways
         if not nxt:
             return 0
         layer = nxt
@@ -186,6 +240,42 @@ def count_assignments(g: MultiGraph, kappa: int) -> int:
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     return _counts(g, [(kappa, ())])[0]
+
+
+def count_weighted_assignments(
+    g: MultiGraph, kappa: int, selected: Sequence[int], weights: Sequence[tuple[int, int]]
+) -> list[int]:
+    """Weighted colorings of g, one value per (alpha, beta) in weights.
+
+    Each selected edge is cut into two halves, colored on their own and
+    each proper at its end; it contributes alpha when the halves share a
+    color and beta when they differ. Every other edge is an ordinary edge.
+    This is the Holant of g with the binary signature alpha*I + beta*(J - I)
+    placed on each selected edge, and (1, 0) gives count_assignments. All
+    weights share one plan.
+    """
+    if isinstance(g, GadgetGraph):
+        raise PreconditionError("gadget graphs are counted via count_extensions")
+    if kappa < 0:
+        raise ValueError("kappa must be nonnegative")
+    selected = frozenset(selected)
+    if not selected <= frozenset(range(len(g.edges))):
+        raise PreconditionError("selected edge index out of range")
+    inc = g.incidence_lists()
+    if kappa < max(map(len, inc), default=0):
+        return [0] * len(weights)
+    _, steps, _ = _best_plan(g.edges, inc, (), selected)
+    # One run counts the colorings by their number k of bichromatic
+    # selected edges, as the base-2^shift digits of one integer. No digit
+    # carries: it counts at most kappa^(edges + selected) partial colorings.
+    m = len(selected)
+    shift = (len(g.edges) + m) * kappa.bit_length() + 1
+    packed = _run(steps, kappa, (0,) * kappa, 1 << shift)
+    strata = [packed >> (k * shift) & ((1 << shift) - 1) for k in range(m + 1)]
+    return [
+        sum(n * int(a) ** (m - k) * int(b) ** k for k, n in enumerate(strata))
+        for a, b in weights
+    ]
 
 
 def count_extensions(g: GadgetGraph, kappa: int, boundary: Sequence[int]) -> int:

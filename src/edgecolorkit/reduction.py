@@ -19,15 +19,23 @@ x_0..x_m with
 
 for n = 1..m+1: a Vandermonde system in the merged column values. Solved
 exactly over the rationals, the unknowns sum to the original count.
+
+The rows never build the chains. A^n = alpha_n*I + beta_n*(J - I) with
+beta_n = (lambda1^n - lambda2^n) / kappa and alpha_n = beta_n + lambda2^n,
+so row n is a weighted count of g on the frontier engine
+(count_weighted_assignments), and one engine run serves every row. The
+system is solved by Björck and Pereyra's O(m^2) algorithm, and the solution
+is substituted back into every equation before it is used.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .counting import count_assignments, extension_matrix
+from .counting import count_assignments, count_weighted_assignments, extension_matrix
 from .errors import KeyPropertyError, PreconditionError
 from .gadgets import (
     GadgetSpec,
@@ -40,15 +48,7 @@ from .gadgets import (
     verify_key_property,
 )
 from .graphs import EdgeSelector, GadgetGraph, MultiGraph, replace_edges
-from .holant import (
-    ad_grid,
-    decompose_domain_invariant,
-    eigenvalues_ab,
-    eval_grid,
-    matrix_power,
-    place_binary_on_edges,
-    signature_from_matrix,
-)
+from .holant import decompose_domain_invariant, eigenvalues_ab, matrix_power
 
 
 @dataclass(frozen=True)
@@ -157,12 +157,33 @@ class StratifiedSystem:
     recovered: int
 
 
+def _solve_dual(nodes: Sequence[int], rhs: Sequence[int]) -> list[Fraction]:
+    """Björck and Pereyra's dual algorithm (Math. Comp. 24, 1970): the y
+    with sum_j y_j * nodes[j]^k = rhs[k] for k = 0..len(nodes)-1, in
+    O(len^2) exact operations. The first sweep stays in the integers."""
+    size = len(nodes)
+    y = list(rhs)
+    for k in range(size - 1):
+        for i in range(size - 1, k, -1):
+            y[i] -= nodes[k] * y[i - 1]
+    y = [Fraction(v) for v in y]
+    for k in range(size - 2, -1, -1):
+        for i in range(k + 1, size):
+            y[i] /= nodes[i] - nodes[i - k - 1]
+        for i in range(k, size - 1):
+            y[i] -= y[i + 1]
+    return y
+
+
 def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int]) -> list[Fraction]:
     """Solve sum_j x_j * nodes[j]^n = rhs[n-1] for n = 1..len(nodes),
     exactly over the rationals.
 
     Nodes must be distinct and nonzero (the exponent starts at 1, so a zero
-    node would contribute nothing to any equation).
+    node would contribute nothing to any equation). The y_j = x_j * nodes[j]
+    solve a Vandermonde system with exponents from 0, which _solve_dual
+    solves in O(len^2). The solution is then substituted back into every
+    equation, and a mismatch raises RuntimeError.
     """
     if len(nodes) != len(rhs):
         raise PreconditionError(
@@ -173,23 +194,17 @@ def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int]) -> list[Fraction
         raise PreconditionError("interpolation nodes must be distinct")
     if any(v == 0 for v in nodes):
         raise PreconditionError("interpolation nodes must be nonzero")
-    size = len(nodes)
-    if size == 0:
-        return []
-    aug = [
-        [Fraction(nodes[j]) ** (n + 1) for j in range(size)] + [Fraction(rhs[n])]
-        for n in range(size)
-    ]
-    for col in range(size):
-        pivot = next(row for row in range(col, size) if aug[row][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for row in range(size):
-            if row != col and aug[row][col] != 0:
-                factor = aug[row][col]
-                aug[row] = [v - factor * w for v, w in zip(aug[row], aug[col])]
-    return [aug[row][size] for row in range(size)]
+    solution = [y / node for y, node in zip(_solve_dual(nodes, rhs), nodes)]
+    # substitute over the common denominator, in integers
+    den = math.lcm(*(x.denominator for x in solution))
+    terms = [x.numerator * (den // x.denominator) for x in solution]
+    for n, value in enumerate(rhs, 1):
+        terms = [t * node for t, node in zip(terms, nodes)]
+        if sum(terms) != den * value:
+            raise RuntimeError(
+                "internal: Vandermonde solution fails equation n=%d on substitution" % n
+            )
+    return solution
 
 
 def _resolve_gadget(spec: Union[GadgetSpec, GadgetGraph]) -> tuple[GadgetGraph, str]:
@@ -208,12 +223,15 @@ def interpolation_pipeline(
 
     The selector fixes the replaced edge set F (default: the parallel
     edges, so simple graphs go through with m = 0 and multigraphs touch
-    only what they must). Each row n evaluates the Holant of g with the
-    gadget chain's matrix A^n placed on F, which counts colorings of the
-    n-chain-replaced graph without building it. Requires the gadget matrix
-    to be domain invariant with a != b; with a = b the two eigenvalues
-    collide and the caller should pass the gadget through
-    derive_distinct_diagonal first.
+    only what they must). Each row n is the Holant of g with the gadget
+    chain's matrix A^n placed on F, which counts colorings of the
+    n-chain-replaced graph without building it: a weighted count on the
+    frontier engine, with weight (alpha_n, beta_n) on each edge of F, all
+    rows from one plan. solve_vandermonde solves the rows by Björck and
+    Pereyra's algorithm and substitutes the solution back into every
+    equation. Requires the gadget matrix to be domain invariant with
+    a != b; with a = b the two eigenvalues collide and the caller should
+    pass the gadget through derive_distinct_diagonal first.
     """
     gadget, name = _resolve_gadget(spec)
     if selector is None:
@@ -253,12 +271,13 @@ def interpolation_pipeline(
         raise RuntimeError(
             "internal: merged column values collided despite lambda1 > |lambda2|"
         )
-    grid = ad_grid(g, kappa)
-    rows = []
+    # A^n = lambda2^n * I + (lambda1^n - lambda2^n) / kappa * J; the
+    # division is exact since lambda1 - lambda2 = kappa * b
+    weights = []
     for n in range(1, m + 2):
-        sig = signature_from_matrix(matrix_power(matrix, n))
-        placed = place_binary_on_edges(grid, EdgeSelector.explicit(selected), sig)
-        rows.append(eval_grid(placed))
+        beta = (lam1 ** n - lam2 ** n) // kappa
+        weights.append((beta + lam2 ** n, beta))
+    rows = count_weighted_assignments(g, kappa, selected, weights)
     solution = solve_vandermonde(columns, rows)
     total = sum(solution, Fraction(0))
     if total.denominator != 1 or total < 0:
@@ -277,18 +296,16 @@ def cross_validate_omega_n(
 ) -> bool:
     """Check one interpolation row the slow way: build the n-chain-replaced
     graph explicitly, with every gadget copy inlined as real vertices, and
-    evaluate its grid directly. Guards the matrix-placement shortcut the
-    pipeline relies on. The expanded instance grows with n, so n is capped
-    at 2."""
+    count its colorings directly. Guards the shortcut the pipeline relies
+    on, the weighted count with A^n's entries on the selected edges. The
+    expanded instance grows with n, so n is capped at 2."""
     if not (1 <= n <= 2):
         raise PreconditionError("direct cross-validation is capped at n <= 2")
     gadget, _ = _resolve_gadget(spec)
     chain = chain_graph(gadget, n)
     expanded, _ = replace_edges(g, chain, selector)
-    direct = eval_grid(ad_grid(expanded, kappa))
-    matrix = extension_matrix(gadget, kappa)
-    sig = signature_from_matrix(matrix_power(matrix, n))
-    placed = place_binary_on_edges(
-        ad_grid(g, kappa), EdgeSelector.explicit(selector.select(g)), sig
-    )
-    return direct == eval_grid(placed)
+    direct = count_assignments(expanded, kappa)
+    # a gadget's matrix is domain invariant: palette permutations fix it
+    power = matrix_power(extension_matrix(gadget, kappa), n)
+    weight = (power[0][0], power[0][1] if kappa > 1 else 0)
+    return direct == count_weighted_assignments(g, kappa, selector.select(g), [weight])[0]

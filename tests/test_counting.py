@@ -8,19 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgecolorkit import (
+    EdgeSelector,
     GadgetGraph,
     MultiGraph,
     PreconditionError,
+    ad_grid,
     build_h3,
     build_h4,
     count_assignments,
     count_by_matching_decomposition,
     count_extensions,
+    count_weighted_assignments,
     enumerate_perfect_matchings,
+    eval_grid,
     extension_matrix,
     is_uniquely_partition_colorable,
     parse_gadget_name,
     partition_spectrum,
+    place_binary_on_edges,
+    signature_from_matrix,
     simplify_equal_case,
 )
 from edgecolorkit.counting import _best_plan, _greedy_order, _plan, decompose_extension
@@ -232,6 +238,42 @@ def test_engine_matches_oracles_with_pinned_boundaries(data):
     )
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_weighted_count_matches_placed_grid(data):
+    n = data.draw(st.integers(min_value=2, max_value=5))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = data.draw(
+        st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=6)
+    )
+    mask = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    selected = [i for i, chosen in enumerate(mask) if chosen]
+    kappa = data.draw(st.integers(min_value=1, max_value=4))
+    weight = st.integers(min_value=0, max_value=6)
+    pairs = data.draw(st.lists(st.tuples(weight, weight), min_size=1, max_size=3))
+    pairs += [(0, data.draw(weight)), (data.draw(weight), 0)]
+    g = MultiGraph(n, edges)
+    expected = []
+    for a, b in pairs:
+        matrix = [[a if i == j else b for j in range(kappa)] for i in range(kappa)]
+        placed = place_binary_on_edges(
+            ad_grid(g, kappa), EdgeSelector.explicit(selected), signature_from_matrix(matrix)
+        )
+        expected.append(eval_grid(placed))
+    assert count_weighted_assignments(g, kappa, selected, pairs) == expected
+    assert count_weighted_assignments(g, kappa, selected, [(1, 0)]) == [
+        count_assignments(g, kappa)
+    ]
+
+
+def test_weighted_count_validation():
+    with pytest.raises(PreconditionError, match="out of range"):
+        count_weighted_assignments(bundle(2), 3, [2], [(1, 1)])
+    with pytest.raises(PreconditionError, match="count_extensions"):
+        count_weighted_assignments(build_h3().gadget, 3, [], [(1, 1)])
+    assert count_weighted_assignments(bundle(3), 2, [0], [(1, 1), (2, 3)]) == [0, 0]
+
+
 @pytest.mark.parametrize(
     "name, kappa",
     [
@@ -272,6 +314,37 @@ def test_icosahedron_gadget_entries_match_oracle():
 def test_long_path_counts_without_recursion():
     assert count_assignments(path(1200), 2) == 2
     assert count_assignments(path(1200), 3) == 3 * 2 ** 1199
+
+
+def _greedy_order_by_rescan(edges, inc):
+    """The greedy order as first written: a full rescan per pick."""
+    remaining = [len(x) for x in inc]
+    unused = set(range(len(edges)))
+    order = []
+
+    def key(e):
+        u, v = edges[e]
+        opens = (remaining[u] == len(inc[u])) + (remaining[v] == len(inc[v]))
+        return (opens - (remaining[u] == 1) - (remaining[v] == 1), opens, e)
+
+    while unused:
+        best = min(unused, key=key)
+        unused.remove(best)
+        order.append(best)
+        for w in edges[best]:
+            remaining[w] -= 1
+    return order
+
+
+def test_greedy_order_heap_matches_rescan():
+    rng = random.Random(2017)
+    graphs = [path(1200), ladder_ring(12), bundle(5), star(6)]
+    for _ in range(200):
+        vc = rng.randint(2, 12)
+        graphs.append(MultiGraph(*random_multigraph(rng, vc, rng.randint(0, 30))))
+    for g in graphs:
+        inc = g.incidence_lists()
+        assert _greedy_order(g.edges, inc) == _greedy_order_by_rescan(g.edges, inc)
 
 
 def _widths(g, spec):

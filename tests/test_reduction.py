@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgecolorkit import reduction
 from edgecolorkit import (
     EdgeSelector,
     KeyPropertyError,
@@ -142,6 +143,54 @@ def test_solve_vandermonde_round_trip(data):
     ]
     solved = solve_vandermonde(nodes, rhs)
     assert solved == [Fraction(x) for x in xs]
+
+
+def _gauss_jordan_vandermonde(nodes, rhs):
+    """The O(m^3) Fraction elimination solve_vandermonde used to run."""
+    size = len(nodes)
+    aug = [
+        [Fraction(nodes[j]) ** (n + 1) for j in range(size)] + [Fraction(rhs[n])]
+        for n in range(size)
+    ]
+    for col in range(size):
+        pivot = next(row for row in range(col, size) if aug[row][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for row in range(size):
+            if row != col and aug[row][col] != 0:
+                factor = aug[row][col]
+                aug[row] = [v - factor * w for v, w in zip(aug[row], aug[col])]
+    return [aug[row][size] for row in range(size)]
+
+
+def test_solve_vandermonde_matches_elimination_at_ring_size():
+    # The 40-vertex bundle ring at kappa 4 with fnp:4:3: lambda = (864, 64),
+    # m = 40, nodes of up to 391 bits. Noise on the right-hand side makes
+    # the solution fractional.
+    rng = random.Random(40)
+    m = 40
+    nodes = [864 ** i * 64 ** (m - i) for i in range(m + 1)]
+    assert max(v.bit_length() for v in nodes) == 391
+    xs = [rng.getrandbits(40) for _ in nodes]
+    rhs = [
+        sum(x * node ** n for x, node in zip(xs, nodes)) + rng.randrange(-9, 10)
+        for n in range(1, m + 2)
+    ]
+    solved = solve_vandermonde(nodes, rhs)
+    assert any(x.denominator != 1 for x in solved)
+    assert solved == _gauss_jordan_vandermonde(nodes, rhs)
+
+
+def test_solve_vandermonde_substitution_catches_a_wrong_solve(monkeypatch):
+    solve = reduction._solve_dual
+    monkeypatch.setattr(
+        reduction,
+        "_solve_dual",
+        lambda nodes, rhs: solve(nodes, [rhs[0] + 1] + list(rhs[1:])),
+    )
+    with pytest.raises(RuntimeError, match="substitution"):
+        solve_vandermonde((2, 3, 5), (10, 38, 160))
 
 
 # ---------------------------------------------------------------------------
