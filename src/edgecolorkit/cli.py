@@ -5,6 +5,9 @@ rerun on the same input is byte identical. Counts are serialized as
 decimal strings (they routinely exceed 2^53, which JSON numbers do not
 survive round-tripping through other tools). Errors go to stderr.
 
+One argument parser per process: built by the first main() call, reused
+by the later ones, each of which parses into a fresh namespace.
+
 Exit codes: 0 success, 1 a requested --check failed, 2 unreadable or
 malformed input, 3 a precondition refusal (the request was understood but
 is outside what the tool will compute).
@@ -13,6 +16,7 @@ is outside what the tool will compute).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -246,6 +250,7 @@ def cmd_sat_transform(args) -> tuple[dict, int]:
     return report, 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgecolorkit",
@@ -263,13 +268,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default="backtrack",
         help="matching requires a kappa-regular graph",
     )
-    p.set_defaults(handler=cmd_count)
 
     p = sub.add_parser("verify-gadget", help="check the c*I extension matrix shape")
     p.add_argument("--gadget", required=True, help="h3 | h4 | h5 | hstar:K[:N] | fnp:K:R")
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--output", help="write the gadget graph to a file")
-    p.set_defaults(handler=cmd_verify_gadget)
 
     p = sub.add_parser("reduce", help="equal-palette multigraph to simple graph reduction")
     p.add_argument("--input", required=True)
@@ -278,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planar", action="store_true", help="use a planar gadget")
     p.add_argument("--check", action="store_true", help="recount both sides")
     p.add_argument("--output", required=True, help="where to write the reduced graph")
-    p.set_defaults(handler=cmd_reduce)
 
     p = sub.add_parser("interpolate", help="recover a count at kappa > r via chain replacement")
     p.add_argument("--input", required=True)
@@ -291,17 +293,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which edges receive chains",
     )
     p.add_argument("--check", action="store_true", help="compare against a direct count")
-    p.set_defaults(handler=cmd_interpolate)
 
     p = sub.add_parser("unique", help="decide unique partition colorability")
     p.add_argument("--input", required=True)
     p.add_argument("--kappa", type=int, required=True)
-    p.set_defaults(handler=cmd_unique)
 
     p = sub.add_parser("sat-transform", help="append the +1 model count variable")
     p.add_argument("--input", required=True, help="DIMACS CNF file")
     p.add_argument("--output", help="where to write the transformed formula")
-    p.set_defaults(handler=cmd_sat_transform)
 
     return parser
 
@@ -310,7 +309,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        report, code = args.handler(args)
+        # Looked up per call, so the cached parser holds no handler.
+        report, code = globals()["cmd_" + args.subcommand.replace("-", "_")](args)
     except ParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

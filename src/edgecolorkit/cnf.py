@@ -8,6 +8,8 @@ false the original clauses are disabled but every x_j is forced true,
 contributing exactly one model, whether or not it satisfies Phi. Hence
 
     count_sat(Phi') = count_sat(Phi) + 1.
+
+count_sat checks it exhaustively (bit-parallel, up to 24 variables).
 """
 
 from __future__ import annotations
@@ -114,31 +116,40 @@ def transform_phi_prime(phi: CnfFormula) -> CnfFormula:
 
 
 def count_sat(phi: CnfFormula, cap: int = BRUTE_FORCE_VARIABLE_CAP) -> int:
-    """Exact model count by exhaustive enumeration, refused above the cap."""
+    """Exact model count by exhaustive enumeration, refused above the cap.
+
+    Bit-parallel: bit a of a 2^k-bit mask stands for assignment a of the
+    low k = min(n, 16) variables. Each assignment of the other variables
+    ANDs one column per clause into a models mask and adds its popcount.
+    """
     n = phi.variable_count
     if n > cap:
         raise PreconditionError(
             "%d variables exceeds the brute-force cap of %d" % (n, cap)
         )
-    pos_masks = []
-    neg_masks = []
+    k = min(n, 16)
+    full = (1 << (1 << k)) - 1
+    column = {}  # literal of a low variable -> the assignments it makes true
+    for v in range(k):
+        col = full // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v))
+        column[v + 1], column[-v - 1] = col, full ^ col
+    clauses = []
     for clause in phi.clauses:
-        pos = 0
-        neg = 0
+        pos = neg = low = 0
         for lit in clause:
-            if lit > 0:
-                pos |= 1 << (lit - 1)
+            if abs(lit) <= k:
+                low |= column[lit]
+            elif lit > 0:
+                pos |= 1 << (lit - 1 - k)
             else:
-                neg |= 1 << (-lit - 1)
-        pos_masks.append(pos)
-        neg_masks.append(neg)
-    full = (1 << n) - 1
+                neg |= 1 << (-lit - 1 - k)
+        clauses.append((pos, neg, low))
+    high_full = (1 << (n - k)) - 1
     count = 0
-    for assignment in range(1 << n):
-        flipped = assignment ^ full
-        if all(
-            assignment & pos or flipped & neg
-            for pos, neg in zip(pos_masks, neg_masks)
-        ):
-            count += 1
+    for high in range(1 << (n - k)):
+        models = full
+        for pos, neg, low in clauses:
+            if not (high & pos or (high ^ high_full) & neg):
+                models &= low
+        count += models.bit_count()
     return count

@@ -470,17 +470,11 @@ def _count_partitions_capped(g: MultiGraph, kappa: int, limit: int) -> int:
     max_class = g.vertex_count // 2
     if max_class == 0 or n > kappa * max_class:
         return 0
+    ends = [1 << a | 1 << b for a, b in edges]
     found = 0
-    classes: list[list[int]] = []
+    classes: list[int] = []  # the vertex mask of each class
 
-    def disjoint(i: int, cls) -> bool:
-        a, b = edges[i]
-        for j in cls:
-            c, d = edges[j]
-            if a == c or a == d or b == c or b == d:
-                return False
-        return True
-
+    # Free room is always kappa*max_class - i: pruning on it repeats the test above.
     def rec(i: int):
         nonlocal found
         if found >= limit:
@@ -488,20 +482,16 @@ def _count_partitions_capped(g: MultiGraph, kappa: int, limit: int) -> int:
         if i == n:
             found += 1
             return
-        remaining = n - i
-        capacity = sum(max_class - len(cls) for cls in classes)
-        capacity += (kappa - len(classes)) * max_class
-        if capacity < remaining:
-            return
-        for cls in classes:
-            if disjoint(i, cls):
-                cls.append(i)
+        e = ends[i]
+        for c, cls in enumerate(classes):
+            if not cls & e:
+                classes[c] = cls | e
                 rec(i + 1)
-                cls.pop()
+                classes[c] = cls
                 if found >= limit:
                     return
         if len(classes) < kappa:
-            classes.append([i])
+            classes.append(e)
             rec(i + 1)
             classes.pop()
 
@@ -534,11 +524,6 @@ def is_uniquely_partition_colorable(g: MultiGraph, kappa: int) -> bool:
     if n == 0:
         return True
     if n <= kappa:
-        for i in range(n):
-            a, b = edges[i]
-            for j in range(i + 1, n):
-                c, d = edges[j]
-                if a != c and a != d and b != c and b != d:
-                    return False
-        return True
+        ends = [1 << a | 1 << b for a, b in edges]
+        return all(e & f for i, e in enumerate(ends) for f in ends[i + 1:])
     return _count_partitions_capped(g, kappa, 2) == 1

@@ -321,6 +321,43 @@ def test_sat_transform_parse_error(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the parser, built once per process
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_usage_error_leaves_no_state(capsys, b3_file):
+    _, alone, _ = run_cli(capsys, "count", "--input", b3_file, "--kappa", "3")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "--input", b3_file, "--kappa", "three"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, after, _ = run_cli(capsys, "count", "--input", b3_file, "--kappa", "3")
+    assert code == 0 and after == alone
+
+
+def test_defaults_do_not_leak_between_calls(capsys, b3_file, k4_file, tmp_path):
+    run_cli(capsys, "count", "--input", k4_file, "--kappa", "3", "--method", "matching")
+    _, out, _ = run_cli(capsys, "count", "--input", k4_file, "--kappa", "3")
+    assert json.loads(out)["method"] == "backtrack"
+
+    base = ("interpolate", "--input", b3_file, "--kappa", "4", "--gadget", "h3")
+    _, out, _ = run_cli(capsys, *base, "--selector", "all")
+    assert json.loads(out)["selector"] == "all"
+    _, out, _ = run_cli(capsys, *base)
+    assert json.loads(out)["selector"] == "parallel"
+
+    base = ("reduce", "--input", b3_file, "--kappa", "3", "--r", "3",
+            "--output", str(tmp_path / "reduced.txt"))
+    _, out, _ = run_cli(capsys, *base, "--planar")
+    assert json.loads(out)["planar"] is True
+    _, out, _ = run_cli(capsys, *base)
+    assert json.loads(out)["planar"] is False
+
+
+# ---------------------------------------------------------------------------
 # shared error handling
 
 

@@ -15,6 +15,7 @@ from edgecolorkit import (
     render_dimacs,
     transform_phi_prime,
 )
+from edgecolorkit.cnf import BRUTE_FORCE_VARIABLE_CAP
 
 from oracles import oracle_count_sat, random_cnf
 
@@ -101,6 +102,59 @@ def test_count_sat_matches_oracle():
         n, clauses = random_cnf(rng, max_variables=8)
         phi = CnfFormula(n, clauses)
         assert count_sat(phi) == oracle_count_sat(n, clauses), (n, clauses)
+
+
+def per_assignment_count(n, clauses):
+    """Reference count: every one of the 2^n assignments against clause masks."""
+    masks = []
+    for clause in clauses:
+        pos = sum({1 << (lit - 1) for lit in clause if lit > 0})
+        neg = sum({1 << (-lit - 1) for lit in clause if lit < 0})
+        masks.append((pos, neg))
+    full = (1 << n) - 1
+    return sum(
+        all(a & pos or (a ^ full) & neg for pos, neg in masks) for a in range(1 << n)
+    )
+
+
+@pytest.mark.parametrize("n", range(19))
+def test_count_sat_matches_per_assignment_loop(n):
+    # Variables 17 and 18 lie above the 16-variable split.
+    rng = random.Random(1000 + n)
+
+    def literal(lowest=1):
+        return rng.choice((1, -1)) * rng.randint(lowest, n)
+
+    for _ in range(3):
+        clauses = []
+        if n:
+            clauses = [
+                tuple(literal() for _ in range(rng.randint(1, 4)))
+                for _ in range(rng.randint(0, n))
+            ]
+            v = rng.randint(1, n)
+            clauses.append((v, -v, literal()))  # tautology
+            clauses.append((literal(),) * 2)  # repeated literal
+            clauses.append((literal(min(17, n)), literal(min(17, n))))  # highest only
+            rng.shuffle(clauses)
+        expected = per_assignment_count(n, clauses)
+        assert count_sat(CnfFormula(n, clauses)) == expected, (n, clauses)
+        assert count_sat(CnfFormula(n, clauses + [()])) == 0
+
+
+def test_transform_adds_one_model_at_the_cap():
+    rng = random.Random(23)
+    n = BRUTE_FORCE_VARIABLE_CAP - 1
+    clauses = [
+        tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
+        for _ in range(40)
+    ]
+    phi = CnfFormula(n, clauses)
+    prime = transform_phi_prime(phi)
+    assert prime.variable_count == BRUTE_FORCE_VARIABLE_CAP
+    models = count_sat(phi)
+    assert 0 < models < 2 ** n
+    assert count_sat(prime) == models + 1
 
 
 def test_count_sat_cap():

@@ -29,7 +29,13 @@ from edgecolorkit import (
     signature_from_matrix,
     simplify_equal_case,
 )
-from edgecolorkit.counting import _best_plan, _greedy_order, _plan, decompose_extension
+from edgecolorkit.counting import (
+    _best_plan,
+    _count_partitions_capped,
+    _greedy_order,
+    _plan,
+    decompose_extension,
+)
 
 from corpus import (
     all_multigraphs,
@@ -49,6 +55,7 @@ from oracles import (
     oracle_count_extensions,
     oracle_count_extensions_pruned,
     oracle_partition_spectrum,
+    oracle_partitions,
     random_multigraph,
     random_regular_multigraph,
 )
@@ -525,3 +532,18 @@ def test_classifier_matches_spectrum_on_random_graphs():
                 edges,
                 kappa,
             )
+
+
+def test_capped_partition_count_matches_oracle():
+    rng = random.Random(62)
+    for _ in range(150):
+        vc, edges = random_multigraph(rng, rng.randint(2, 7), rng.randint(0, 10))
+        g = MultiGraph(vc, edges)
+        for kappa in range(1, 6):
+            total = len(oracle_partitions(edges, kappa))
+            for limit in (1, 2, 3, 10 ** 9):
+                assert _count_partitions_capped(g, kappa, limit) == min(limit, total), (
+                    edges,
+                    kappa,
+                    limit,
+                )
