@@ -142,6 +142,9 @@ def build_h5_icosahedron() -> GadgetSpec:
     return GadgetSpec("h5", 5, 5, True, GadgetGraph(base, (0, 1)))
 
 
+MAX_MATCHING_VERTICES = 10**6
+
+
 def build_matchings(kappa: int, n: Optional[int] = None) -> tuple[tuple[tuple[int, int], ...], ...]:
     """kappa pairwise disjoint perfect matchings on vertices 0..n-1.
 
@@ -150,6 +153,8 @@ def build_matchings(kappa: int, n: Optional[int] = None) -> tuple[tuple[tuple[in
     forward in jumps of 2l around the cycle Z_n; an odd kappa adds the
     diameter matching {(j, j + n/2)}. Requires n even, 2l | n for every l,
     and n/2 >= kappa (which keeps the union simple). Default n = kappa!.
+    n may not exceed MAX_MATCHING_VERTICES; the cap is checked before any
+    list is built, so kappa >= 10 needs an explicit n.
 
     Each matching is validated to cover every vertex exactly once and the
     union is validated edge-disjoint; a collision names the offending pair.
@@ -157,7 +162,17 @@ def build_matchings(kappa: int, n: Optional[int] = None) -> tuple[tuple[tuple[in
     if kappa < 1:
         raise PreconditionError("kappa must be positive")
     if n is None:
+        if kappa >= 10:  # 10! = 3,628,800; do not even build the factorial
+            raise PreconditionError(
+                "default vertex count %d! exceeds the cap of %d vertices"
+                % (kappa, MAX_MATCHING_VERTICES)
+            )
         n = math.factorial(kappa)
+    if n > MAX_MATCHING_VERTICES:
+        raise PreconditionError(
+            "vertex count n=%d exceeds the cap of %d vertices"
+            % (n, MAX_MATCHING_VERTICES)
+        )
     if n <= 0 or n % 2:
         raise PreconditionError("vertex count n=%d must be even and positive" % n)
     for step in range(1, kappa // 2 + 1):
@@ -210,7 +225,7 @@ def build_h_star(kappa: int, n: Optional[int] = None) -> GadgetSpec:
     gadget. Not claimed planar.
     """
     matchings = build_matchings(kappa, n)
-    size = n if n is not None else math.factorial(kappa)
+    size = 2 * len(matchings[0])
     edges = [e for matching in matchings for e in matching]
     removed = edges[0]
     if set(removed) != {0, 1}:

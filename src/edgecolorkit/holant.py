@@ -6,24 +6,22 @@ color in {0..k-1}; the Holant value is the sum over all edge assignments of
 the product of vertex signature values. Everything here is exact integer
 arithmetic.
 
-The evaluator backtracks over edges, ordered so vertices complete early,
-and prunes a branch as soon as any vertex value is known to be zero. For
-the all-distinct and equality signature families the zero is detected
-already on partial inputs, which is what makes coloring-style grids cheap;
-arbitrary signatures are checked once fully assigned.
+One evaluator serves every signature: each vertex is a dense tensor over
+its edge variables, and `_contract` merges tensors pairwise, summing out
+each variable once both of its endpoints are merged. A grid's Holant is
+the scalar left at the end; a gadget's gate keeps its dangling edges open,
+so the same contraction yields the whole table at once. Cost follows the
+largest intermediate tensor, not the value, and no family of signatures
+is special-cased.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import PreconditionError
 from .graphs import EdgeSelector, GadgetGraph, MultiGraph
-
-GENERIC = "generic"
-ALL_DISTINCT = "all_distinct"
-EQUALITY = "equality"
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -41,14 +39,13 @@ class Signature:
 
     values is in lexicographic order of the input tuple (first input most
     significant). symmetric is verified when claimed and auto-detected when
-    omitted. kind is a pruning hint (the table stays authoritative).
+    omitted.
     """
 
     arity: int
     domain_size: int
     values: tuple[int, ...]
     symmetric: bool
-    kind: str
 
     def __init__(
         self,
@@ -56,7 +53,6 @@ class Signature:
         domain_size: int,
         values: Sequence[int],
         symmetric: Optional[bool] = None,
-        kind: str = GENERIC,
     ):
         vals = tuple(int(x) for x in values)
         if arity < 0 or domain_size < 0:
@@ -65,8 +61,6 @@ class Signature:
             raise ValueError(
                 "table has %d entries, expected %d" % (len(vals), domain_size**arity)
             )
-        if kind not in (GENERIC, ALL_DISTINCT, EQUALITY):
-            raise ValueError("unknown signature kind %r" % kind)
         detected = _table_symmetric(arity, domain_size, vals)
         if symmetric is None:
             symmetric = detected
@@ -76,7 +70,6 @@ class Signature:
         object.__setattr__(self, "domain_size", domain_size)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "symmetric", bool(symmetric))
-        object.__setattr__(self, "kind", kind)
 
     def value(self, assignment: Sequence[int]) -> int:
         if len(assignment) != self.arity:
@@ -125,7 +118,7 @@ def ad_signature(arity: int, kappa: int) -> Signature:
             t.append(x % kappa)
             x //= kappa
         vals.append(1 if len(set(t)) == arity else 0)
-    return Signature(arity, kappa, vals, symmetric=True, kind=ALL_DISTINCT)
+    return Signature(arity, kappa, vals, symmetric=True)
 
 
 def equality_signature(arity: int, kappa: int) -> Signature:
@@ -138,7 +131,7 @@ def equality_signature(arity: int, kappa: int) -> Signature:
             t.append(x % kappa)
             x //= kappa
         vals.append(1 if len(set(t)) <= 1 else 0)
-    return Signature(arity, kappa, vals, symmetric=True, kind=EQUALITY)
+    return Signature(arity, kappa, vals, symmetric=True)
 
 
 def signature_from_matrix(matrix: Sequence[Sequence[int]]) -> Signature:
@@ -203,113 +196,6 @@ def ad_grid(graph: MultiGraph, kappa: int) -> SignatureGrid:
     return make_grid(graph, [ad_signature(d, kappa) for d in degs])
 
 
-def _run_grid(grid: SignatureGrid, on_leaf: Callable[[int, list[int]], None]) -> None:
-    """Backtrack over edge assignments; call on_leaf(product, colors) once
-    per assignment whose vertex products are all nonzero."""
-    graph = grid.graph
-    n_edges = len(graph.edges)
-    n_vertices = graph.vertex_count
-    if n_vertices == 0:
-        on_leaf(1, [])
-        return
-    k = grid.signatures[0].domain_size
-
-    # scalar vertices contribute a constant factor
-    const = 1
-    for v in range(n_vertices):
-        if grid.signatures[v].arity == 0:
-            const *= grid.signatures[v].values[0]
-    if n_edges == 0:
-        if const != 0:
-            on_leaf(const, [])
-        return
-    if k == 0:
-        return
-
-    # edge slot per endpoint: (vertex, input position)
-    slots: list[list[tuple[int, int]]] = [[] for _ in range(n_edges)]
-    for v in range(n_vertices):
-        for pos, e in enumerate(grid.incidences[v]):
-            slots[e].append((v, pos))
-
-    # static order: repeatedly take the edge whose endpoints are closest to
-    # completion, so vertex checks fire early
-    rem = [len(grid.incidences[v]) for v in range(n_vertices)]
-    chosen = [False] * n_edges
-    order: list[int] = []
-    for _ in range(n_edges):
-        best, best_key = -1, None
-        for e in range(n_edges):
-            if chosen[e]:
-                continue
-            (u, _), (v, _) = slots[e]
-            key = (min(rem[u], rem[v]), max(rem[u], rem[v]), e)
-            if best_key is None or key < best_key:
-                best, best_key = e, key
-        order.append(best)
-        chosen[best] = True
-        (u, _), (v, _) = slots[best]
-        rem[u] -= 1
-        rem[v] -= 1
-
-    sigs = grid.signatures
-    arities = [s.arity for s in sigs]
-    kinds = [s.kind for s in sigs]
-    assigned: list[list[Optional[int]]] = [[None] * arities[v] for v in range(n_vertices)]
-    filled = [0] * n_vertices
-    colors = [0] * n_edges
-
-    def vertex_ok(v: int, c: int) -> bool:
-        kind = kinds[v]
-        if kind == ALL_DISTINCT:
-            return c not in assigned[v]
-        if kind == EQUALITY:
-            for x in assigned[v]:
-                if x is not None and x != c:
-                    return False
-        return True
-
-    def place(v: int, pos: int, c: int):
-        """Returns (ok, multiplier) and mutates state; caller must unplace."""
-        assigned[v][pos] = c
-        filled[v] += 1
-        if filled[v] == arities[v]:
-            val = sigs[v].values[_tuple_index(assigned[v], k)]
-            return val
-        return 1
-
-    def unplace(v: int, pos: int):
-        assigned[v][pos] = None
-        filled[v] -= 1
-
-    def rec(i: int, acc: int):
-        if i == n_edges:
-            on_leaf(acc, colors)
-            return
-        e = order[i]
-        (u, pu), (v, pv) = slots[e]
-        for c in range(k):
-            if not vertex_ok(u, c) or not vertex_ok(v, c):
-                continue
-            mu = place(u, pu, c)
-            if mu == 0:
-                unplace(u, pu)
-                continue
-            mv = place(v, pv, c)
-            if mv == 0:
-                unplace(v, pv)
-                unplace(u, pu)
-                continue
-            colors[e] = c
-            rec(i + 1, acc * mu * mv)
-            unplace(v, pv)
-            unplace(u, pu)
-
-    rec(0, const)
-    # note: if const == 0 every leaf product would be zero; skip entirely
-    return
-
-
 def _permuted_table(kappa: int, vars_: Sequence[int], table: Sequence[int],
                     new_order: Sequence[int]) -> list:
     """Reindex a dense tensor table to a new variable order (first variable
@@ -360,62 +246,46 @@ def _contract_pair(kappa, vars1, tab1, vars2, tab2):
     return tuple(out1 + out2), out_tab
 
 
-def eval_grid(grid: SignatureGrid) -> int:
-    """Exact Holant value of the grid.
+def _contract(kappa: int, tensors):
+    """Contract (variables, table) tensors into one.
 
-    Greedy pairwise tensor contraction: each vertex starts as a dense
-    tensor over its incident edge variables; repeatedly the pair sharing at
-    least one variable whose merge yields the smallest result is contracted
-    until only scalars remain. Cost is governed by the largest intermediate
-    boundary, not by the value, so sparse and chain-like grids evaluate
-    quickly even when the Holant itself is astronomical.
+    Greedy and pairwise: among the pairs that share a variable, each step
+    merges the one whose result has the fewest variables. A variable held
+    by both tensors of a pair is summed out; a variable held by only one
+    tensor in the whole network stays open in the result. Pairs that share
+    nothing meet last, as outer products.
     """
-    const = 1
-    tensors: list[tuple[tuple[int, ...], list]] = []
-    kappa = 0
-    for v, sig in enumerate(grid.signatures):
-        kappa = sig.domain_size
-        if sig.arity == 0:
-            const *= sig.values[0]
-        else:
-            tensors.append((tuple(grid.incidences[v]), list(sig.values)))
-        if const == 0:
-            return 0
-    while tensors:
-        remaining = []
-        for vars_, tab in tensors:
-            if vars_:
-                remaining.append((vars_, tab))
-            else:
-                const *= tab[0]
-        tensors = remaining
-        if const == 0 or not tensors:
-            break
+    tensors = list(tensors) or [((), [1])]
+    while len(tensors) > 1:
         best_key = None
-        best_pair = (0, 0)
         for i in range(len(tensors)):
             vi = set(tensors[i][0])
             ri = len(tensors[i][0])
             for j in range(i + 1, len(tensors)):
                 s = len(vi.intersection(tensors[j][0]))
-                if s == 0:
-                    continue
                 rj = len(tensors[j][0])
-                key = (ri + rj - 2 * s, ri + rj - s, i, j)
+                key = (s == 0, ri + rj - 2 * s, ri + rj - s, i, j)
                 if best_key is None or key < best_key:
                     best_key = key
-                    best_pair = (i, j)
-        if best_key is None:
-            raise RuntimeError(
-                "internal: tensors with free variables but no shared edge"
-            )
-        i, j = best_pair
-        merged = _contract_pair(
-            kappa, tensors[i][0], tensors[i][1], tensors[j][0], tensors[j][1]
-        )
-        tensors[i] = merged
+        i, j = best_key[-2:]
+        tensors[i] = _contract_pair(kappa, *tensors[i], *tensors[j])
         del tensors[j]
-    return const
+    return tensors[0]
+
+
+def eval_grid(grid: SignatureGrid) -> int:
+    """Exact Holant value of the grid.
+
+    Each vertex is a dense tensor over its incident edge variables, and
+    `_contract` merges them until only a scalar remains. Cost is governed
+    by the largest intermediate boundary, not by the value, so sparse and
+    chain-like grids evaluate quickly even when the Holant itself is
+    astronomical.
+    """
+    kappa = grid.signatures[0].domain_size if grid.signatures else 0
+    tensors = zip(grid.incidences, (s.values for s in grid.signatures))
+    _, table = _contract(kappa, tensors)
+    return table[0]
 
 
 def gate_signature(
@@ -423,14 +293,14 @@ def gate_signature(
 ) -> Signature:
     """Signature of a gadget: sum over internal assignments per boundary.
 
-    signatures lists one signature per internal vertex whose arity must be
-    the vertex degree counting dangling edges; None means all-distinct at
-    every vertex. The output's variable order is the gadget's dangling
-    order. The whole table is filled in one sweep by attaching each dangler
-    to an unconstrained unary carrier and classifying leaves by the dangler
-    edge colors.
+    signatures lists one signature per internal vertex, over the domain
+    {0..kappa-1}, whose arity must be the vertex degree counting dangling
+    edges; None means all-distinct at every vertex. A vertex's inputs are
+    its base edges in index order, then its danglers in dangling order. The
+    output's variable order is the gadget's dangling order. The vertex
+    tensors are contracted with every dangling edge left open, so one
+    contraction fills the whole table.
     """
-    d = len(gadget.dangling)
     n = gadget.vertex_count
     if signatures is None:
         signatures = [ad_signature(gadget.degree(v), kappa) for v in range(n)]
@@ -442,24 +312,19 @@ def gate_signature(
                 "vertex %d has degree %d (dangling included) but arity %d"
                 % (v, gadget.degree(v), signatures[v].arity)
             )
-    base_edges = list(gadget.base.edges)
-    ext_edges = base_edges + [
-        (att, n + j) for j, att in enumerate(gadget.dangling)
-    ]
-    ext_graph = MultiGraph(n + d, ext_edges)
-    carriers = [equality_signature(1, kappa) for _ in range(d)]
-    grid = make_grid(ext_graph, list(signatures) + carriers)
-    n_base = len(base_edges)
-    table = [0] * (kappa**d)
-
-    def leaf(acc, colors):
-        idx = 0
-        for j in range(d):
-            idx = idx * kappa + colors[n_base + j]
-        table[idx] += acc
-
-    _run_grid(grid, leaf)
-    return Signature(d, kappa, table)
+        if signatures[v].domain_size != kappa:
+            raise ValueError(
+                "vertex %d has a signature over domain size %d, not kappa=%d"
+                % (v, signatures[v].domain_size, kappa)
+            )
+    # dangler j is edge m + j of the extended graph, held by one tensor only
+    m, d = len(gadget.edges), len(gadget.dangling)
+    extended = MultiGraph(
+        n + d, list(gadget.edges) + [(v, n + j) for j, v in enumerate(gadget.dangling)]
+    )
+    incidences = extended.incidence_lists()[:n]
+    vars_, table = _contract(kappa, zip(incidences, (s.values for s in signatures)))
+    return Signature(d, kappa, _permuted_table(kappa, vars_, table, range(m, m + d)))
 
 
 def place_binary_on_edges(

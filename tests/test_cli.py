@@ -102,6 +102,18 @@ def test_verify_gadget_unknown_name(capsys):
     assert "unknown gadget name" in err
 
 
+@pytest.mark.parametrize(
+    "gadget, kappa", [("hstar:12", "12"), ("hstar:5:1000000000000", "5")]
+)
+def test_verify_gadget_refuses_hstar_over_the_vertex_cap(capsys, gadget, kappa):
+    # 12! = 479,001,600 vertices; the refusal comes before any list is built
+    code, out, err = run_cli(
+        capsys, "verify-gadget", "--gadget", gadget, "--kappa", kappa
+    )
+    assert code == 3 and out == ""
+    assert "exceeds the cap of 1000000 vertices" in err
+
+
 # ---------------------------------------------------------------------------
 # reduce
 

@@ -190,6 +190,12 @@ def test_matchings_preconditions(kappa, n, fragment):
         build_matchings(kappa, n)
 
 
+@pytest.mark.parametrize("kappa, n", [(10, None), (3, 10**6 + 2), (4, 10**6 + 4)])
+def test_matchings_refuse_more_vertices_than_the_cap(kappa, n):
+    with pytest.raises(PreconditionError, match="exceeds the cap of 1000000 vertices"):
+        build_matchings(kappa, n)
+
+
 def test_h_star_structure_and_key_property():
     spec = build_h_star(3, 6)
     assert spec.name == "hstar:3:6"

@@ -1,5 +1,6 @@
 """Signatures, grid evaluation, gates, placements, matrix identities."""
 
+import itertools
 import random
 
 import pytest
@@ -218,6 +219,69 @@ def test_gate_signature_arity_validation():
     g = GadgetGraph(MultiGraph(2, [(0, 1)]), (0, 1))
     with pytest.raises(ValueError, match="arity"):
         gate_signature(g, [ad_signature(3, 3), ad_signature(2, 3)], 3)
+
+
+@pytest.mark.parametrize("dangling", [(), (0,)])
+def test_gate_signature_rejects_a_foreign_domain(dangling):
+    g = GadgetGraph(MultiGraph(2, [(0, 1)]), dangling)
+    sigs = [ad_signature(g.degree(v), 3) for v in range(2)]
+    with pytest.raises(ValueError, match="domain size 3"):
+        gate_signature(g, sigs, 4)
+    with pytest.raises(ValueError, match="domain size 4"):
+        gate_signature(g, [sigs[0], ad_signature(g.degree(1), 4)], 3)
+
+
+def _gate_by_enumeration(g, sigs, kappa):
+    """Gate table by direct summation. A vertex's inputs are its base edges
+    in index order, then its danglers in dangling order."""
+    m = len(g.edges)
+    inputs = [[] for _ in range(g.vertex_count)]
+    for e, (u, v) in enumerate(g.edges):
+        inputs[u].append(e)
+        inputs[v].append(e)
+    for j, v in enumerate(g.dangling):
+        inputs[v].append(m + j)
+    d = len(g.dangling)
+    table = []
+    for boundary in itertools.product(range(kappa), repeat=d):
+        total = 0
+        for internal in itertools.product(range(kappa), repeat=m):
+            colors = internal + boundary
+            product = 1
+            for v, sig in enumerate(sigs):
+                product *= sig.value([colors[e] for e in inputs[v]])
+            total += product
+        table.append(total)
+    return table
+
+
+def test_gate_signature_matches_enumeration_on_generic_signatures():
+    rng = random.Random(5050)
+    seen = set()
+    for _ in range(80):
+        vc = rng.randint(1, 5)
+        _, edges = random_multigraph(rng, vc, rng.randint(0, 4) if vc > 1 else 0)
+        dangling = tuple(rng.randrange(vc) for _ in range(rng.randint(0, 3)))
+        g = GadgetGraph(MultiGraph(vc, edges), dangling)
+        kappa = rng.randint(1, 3)
+        sigs = [
+            Signature(d, kappa, [rng.choice((0, 0, 1, 2, 3)) for _ in range(kappa**d)])
+            for d in g.degrees()
+        ]
+        assert list(gate_signature(g, sigs, kappa).values) == _gate_by_enumeration(
+            g, sigs, kappa
+        ), (vc, edges, dangling, kappa)
+        seen.add(("danglers", len(dangling)))
+        if len(set(dangling)) < len(dangling):
+            seen.add("shared attachment")
+        if 0 in g.degrees():
+            seen.add("isolated vertex")
+        if not g.base.is_connected():
+            seen.add("disconnected base")
+    # the seeded cases reach every shape the test is meant to cover
+    assert seen >= {("danglers", d) for d in range(4)} | {
+        "shared attachment", "isolated vertex", "disconnected base"
+    }
 
 
 # ---------------------------------------------------------------------------
