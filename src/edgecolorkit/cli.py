@@ -10,7 +10,8 @@ by the later ones, each of which parses into a fresh namespace.
 
 Exit codes: 0 success, 1 a requested --check failed, 2 unreadable or
 malformed input, 3 a precondition refusal (the request was understood but
-is outside what the tool will compute).
+is outside what the tool will compute), which includes running out of
+recursion depth or memory.
 """
 
 from __future__ import annotations
@@ -328,6 +329,9 @@ def main(argv=None) -> int:
         return 3
     except (PreconditionError, GadgetError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 3
+    except (RecursionError, MemoryError) as exc:
+        print("error: input too large to compute (%s)" % type(exc).__name__, file=sys.stderr)
         return 3
     print(json.dumps(report, indent=2, sort_keys=True))
     return code

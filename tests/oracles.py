@@ -100,6 +100,46 @@ def oracle_count_extensions_pruned(vertex_count, edges, dangling, boundary, kapp
     return extend()
 
 
+def oracle_count_weighted(vertex_count, edges, selected, kappa, weights):
+    """Weighted proper colorings, one value per (alpha, beta) in weights.
+
+    Each selected edge is cut into two halves, each colored on its own and
+    proper at its own end; the edge weighs alpha when its halves share a
+    color and beta when they differ. Every other edge is an ordinary edge.
+    A depth-first search over the edges tallies the colorings by k, the
+    number of bichromatic selected edges, and each answer is
+    sum_k N_k * alpha^(m - k) * beta^k over the m selected edges. Edges
+    must not be loops.
+    """
+    selected = set(selected)
+    used = [set() for _ in range(vertex_count)]
+    tally = [0] * (len(selected) + 1)
+
+    def extend(i, k):
+        if i == len(edges):
+            tally[k] += 1
+            return
+        u, v = edges[i]
+        for cu in set(range(kappa)) - used[u]:
+            if i in selected:
+                far = set(range(kappa)) - used[v]
+            else:
+                far = {cu} - used[v]
+            used[u].add(cu)
+            for cv in far:
+                used[v].add(cv)
+                extend(i + 1, k + (cu != cv))
+                used[v].remove(cv)
+            used[u].remove(cu)
+
+    extend(0, 0)
+    m = len(selected)
+    return [
+        sum(n * alpha ** (m - k) * beta ** k for k, n in enumerate(tally))
+        for alpha, beta in weights
+    ]
+
+
 # ---------------------------------------------------------------------------
 # partition oracles
 

@@ -68,6 +68,29 @@ def test_count_rejects_gadget_input(capsys, tmp_path):
     assert "dangling" in err and out == ""
 
 
+def test_count_too_deep_for_the_matching_method_is_a_refusal(capsys, tmp_path):
+    # Perfect-matching enumeration recurses once per matched pair, so a
+    # 1,200-edge perfect matching runs out of recursion depth.
+    target = tmp_path / "matching.txt"
+    target.write_text(MultiGraph(2400, [(v, v + 1) for v in range(0, 2400, 2)]).render())
+    code, out, err = run_cli(
+        capsys, "count", "--input", str(target), "--kappa", "1", "--method", "matching"
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "RecursionError" in err
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_is_a_refusal(capsys, monkeypatch, b3_file):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_count", exhausted)
+    code, out, err = run_cli(capsys, "count", "--input", b3_file, "--kappa", "3")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "MemoryError" in err
+
+
 # ---------------------------------------------------------------------------
 # verify-gadget
 

@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgecolorkit import (
-    EdgeSelector,
     GadgetGraph,
     MultiGraph,
     PreconditionError,
-    ad_grid,
     build_h3,
     build_h4,
     count_assignments,
@@ -20,13 +18,10 @@ from edgecolorkit import (
     count_extensions,
     count_weighted_assignments,
     enumerate_perfect_matchings,
-    eval_grid,
     extension_matrix,
     is_uniquely_partition_colorable,
     parse_gadget_name,
     partition_spectrum,
-    place_binary_on_edges,
-    signature_from_matrix,
     simplify_equal_case,
 )
 from edgecolorkit.counting import (
@@ -54,6 +49,7 @@ from oracles import (
     oracle_count_colorings,
     oracle_count_extensions,
     oracle_count_extensions_pruned,
+    oracle_count_weighted,
     oracle_partition_spectrum,
     oracle_partitions,
     random_multigraph,
@@ -260,14 +256,9 @@ def test_weighted_count_matches_placed_grid(data):
     pairs = data.draw(st.lists(st.tuples(weight, weight), min_size=1, max_size=3))
     pairs += [(0, data.draw(weight)), (data.draw(weight), 0)]
     g = MultiGraph(n, edges)
-    expected = []
-    for a, b in pairs:
-        matrix = [[a if i == j else b for j in range(kappa)] for i in range(kappa)]
-        placed = place_binary_on_edges(
-            ad_grid(g, kappa), EdgeSelector.explicit(selected), signature_from_matrix(matrix)
-        )
-        expected.append(eval_grid(placed))
-    assert count_weighted_assignments(g, kappa, selected, pairs) == expected
+    assert count_weighted_assignments(g, kappa, selected, pairs) == (
+        oracle_count_weighted(n, edges, selected, kappa, pairs)
+    )
     assert count_weighted_assignments(g, kappa, selected, [(1, 0)]) == [
         count_assignments(g, kappa)
     ]
