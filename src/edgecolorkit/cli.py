@@ -32,11 +32,11 @@ from .counting import (
     partition_spectrum,
 )
 from .errors import KeyPropertyError, ParseError, PreconditionError
-from .gadgets import GadgetError, derive_distinct_diagonal, parse_gadget_name, verify_key_property
+from .gadgets import GadgetError, _derive_distinct_diagonal, parse_gadget_name, verify_key_property
 from .graphs import EdgeSelector, GadgetGraph, MultiGraph, parse_graph, render_graph
 from .holant import decompose_domain_invariant
 from .reduction import (
-    interpolation_pipeline,
+    _interpolate,
     recount_certificate,
     select_gadget,
     simplify_equal_case,
@@ -157,11 +157,13 @@ def cmd_interpolate(args) -> tuple[dict, int]:
         EdgeSelector.all_edges() if args.selector == "all" else EdgeSelector.parallel_only()
     )
     derived = False
-    dec = decompose_domain_invariant(extension_matrix(spec.gadget, args.kappa))
+    matrix = extension_matrix(spec.gadget, args.kappa)
+    dec = decompose_domain_invariant(matrix)
     if dec is not None and dec[0] == dec[1] and dec[1] != 0:
-        spec = derive_distinct_diagonal(spec, args.kappa)
+        spec = _derive_distinct_diagonal(spec, args.kappa, matrix)
+        matrix = extension_matrix(spec.gadget, args.kappa)
         derived = True
-    system = interpolation_pipeline(g, args.kappa, spec, selector)
+    system = _interpolate(g, args.kappa, spec, selector, matrix)
     report = {
         "columns": [_dec(v) for v in system.column_values],
         "command": "interpolate",

@@ -13,9 +13,10 @@ permutation, and colors with equal patterns are one branch weighted by
 their number. An edge may carry a domain-invariant weight (alpha when its
 two halves share a color, beta when they differ), which keeps that
 symmetry. One layer is live at a time and nothing recurses. The cost
-follows the frontier width, so the order is the narrowest of a few cheap
-candidates. The perfect-matching decomposition below is an independent
-route.
+follows the frontier width, so the order is the cheapest of four
+candidates (two greedy, two breadth-first), each scored by a cost-only
+pass before the winner's steps are built. The perfect-matching
+decomposition below is an independent route.
 """
 
 from __future__ import annotations
@@ -29,38 +30,40 @@ from .errors import PreconditionError
 from .graphs import GadgetGraph, MultiGraph
 
 
-def _greedy_order(edges, inc) -> list[int]:
+def _greedy_order(edges, inc, tie=None) -> list[int]:
     """At each step the edge opening the fewest new vertices net of the
-    vertices it closes, then the fewest opened, smallest index on ties.
+    vertices it closes, then the fewest opened; ties go to the edge that
+    comes first in the order tie, or to the smallest index without one.
 
-    A key only falls, and only when an end is first touched or left with
-    one edge. The heap gets a fresh entry for each edge at an end at those
-    two moments and skips stale ones, so it picks as a full rescan would
-    in O(E log E)."""
+    A key is the int (3 * net + opened + 6) * E + tie position. It only
+    falls, and only when an end is first touched (by 4E: one fewer
+    opened) or left with one edge (by 3E: one more closed). The heap gets a
+    fresh entry for each edge at an end at those two moments and skips an
+    entry that differs from the edge's stored key, so it picks as a full
+    rescan would in O(E log E)."""
+    m = len(edges)
+    tie = tie or range(m)
+    rank = sorted(range(m), key=tie.__getitem__)
     remaining = [len(x) for x in inc]
-    used = [False] * len(edges)
+    keys = [(14 - 3 * ((remaining[u] == 1) + (remaining[v] == 1))) * m + rank[e]
+            for e, (u, v) in enumerate(edges)]
+    heap = sorted(keys)
     order = []
-
-    def key(e):
-        u, v = edges[e]
-        opens = (remaining[u] == len(inc[u])) + (remaining[v] == len(inc[v]))
-        return (opens - (remaining[u] == 1) - (remaining[v] == 1), opens, e)
-
-    heap = [key(e) for e in range(len(edges))]
-    heapq.heapify(heap)
     while heap:
-        entry = heapq.heappop(heap)
-        best = entry[2]
-        if used[best] or entry != key(best):
+        k = heapq.heappop(heap)
+        best = tie[k % m]
+        if keys[best] != k:
             continue
-        used[best] = True
+        keys[best] = -1
         order.append(best)
         for w in edges[best]:
             remaining[w] -= 1
-            if remaining[w] in (1, len(inc[w]) - 1):
+            drop = 4 * (remaining[w] == len(inc[w]) - 1) + 3 * (remaining[w] == 1)
+            if drop:
                 for f in inc[w]:
-                    if not used[f]:
-                        heapq.heappush(heap, key(f))
+                    if keys[f] >= 0:
+                        keys[f] -= drop * m
+                        heapq.heappush(heap, keys[f])
     return order
 
 
@@ -81,20 +84,17 @@ def _bfs_order(edges, inc, starts) -> tuple[list[int], int]:
                         seen[w] = True
                         component.append(w)
             visited += component
-    pos = [0] * len(inc)
+    n = len(inc)
+    pos = [0] * n
     for i, v in enumerate(visited):
         pos[v] = i
-
-    def key(e):
-        a, b = pos[edges[e][0]], pos[edges[e][1]]
-        return (max(a, b), min(a, b), e)
-
-    return sorted(range(len(edges)), key=key), visited[-1]
+    keys = [pos[u] * n + pos[v] if pos[u] > pos[v] else pos[v] * n + pos[u] for u, v in edges]
+    return sorted(range(len(edges)), key=keys.__getitem__), visited[-1]
 
 
 def _plan(edges, inc, order, pinned, weighted=frozenset()):
-    """Engine steps along an edge order, with their cost (largest frontier,
-    sum of frontier sizes) and the frontier slot of each pinned vertex.
+    """Engine steps along an edge order, and the frontier slot of each
+    pinned vertex.
 
     A step is (both, keep, half): the slot bits of the edge's ends, a mask
     clearing the slots of the vertices it closes (-1 when none), and for an
@@ -110,7 +110,6 @@ def _plan(edges, inc, order, pinned, weighted=frozenset()):
             slot[w] = free.pop()
     pins = {w: slot[w] for w in pinned if slot[w] >= 0}
     steps = []
-    peak = total = 0
     for e in order:
         pair = edges[e]
         both = drop = 0
@@ -125,26 +124,48 @@ def _plan(edges, inc, order, pinned, weighted=frozenset()):
                 free.append(slot[w])
         half = 1 << slot[pair[0]] if e in weighted else 0
         steps.append((both, ~drop, half))
-        size = len(inc) - len(free)
-        peak = max(peak, size)
+    return steps, pins
+
+
+def _cost(edges, inc, order, pinned):
+    """The cost of the steps _plan builds along an order: the largest
+    frontier and the sum of frontier sizes after each step."""
+    remaining = [len(x) for x in inc]
+    held = [False] * len(inc)
+    for w in pinned:
+        held[w] = remaining[w] > 0
+    size = sum(held)
+    peak = total = 0
+    for e in order:
+        for w in edges[e]:
+            if not held[w]:
+                held[w] = True
+                size += 1
+            remaining[w] -= 1
+            if not remaining[w]:
+                size -= 1
+        if size > peak:
+            peak = size
         total += size
-    return (peak, total), steps, pins
+    return peak, total
 
 
 def _best_plan(edges, inc, pinned=(), weighted=frozenset()):
-    """The _plan of the cheapest of three candidate orders: the greedy
-    order, a breadth-first order from a minimum-degree vertex, and one
-    restarted from where that search ended. On a tie the greedy order is
-    kept."""
+    """The cost and _plan of the cheapest of four candidate orders: the
+    greedy order, a breadth-first order from a minimum-degree vertex, one
+    restarted from where that search ended, and the greedy order with ties
+    broken by position in the restarted one. Each candidate is scored by
+    _cost alone and only the winner's steps are built; on a tie the
+    earlier candidate is kept."""
     orders = [_greedy_order(edges, inc)]
     starts = sorted((w for w in range(len(inc)) if inc[w]), key=lambda w: len(inc[w]))
     if starts:
         order, last = _bfs_order(edges, inc, starts)
-        orders += [order, _bfs_order(edges, inc, [last] + starts)[0]]
-    return min(
-        (_plan(edges, inc, order, pinned, weighted) for order in orders),
-        key=lambda p: p[0],
-    )
+        restart = _bfs_order(edges, inc, [last] + starts)[0]
+        orders += [order, restart, _greedy_order(edges, inc, restart)]
+    costs = [_cost(edges, inc, order, pinned) for order in orders]
+    best = costs.index(min(costs))
+    return (costs[best], *_plan(edges, inc, orders[best], pinned, weighted))
 
 
 def _run(steps, kappa: int, start: tuple[int, ...], split: int = 0) -> int:

@@ -393,13 +393,20 @@ def derive_distinct_diagonal(
     Refuses when a != b already ("not needed") or when the matrix is not
     domain invariant or identically zero.
     """
+    return _derive_distinct_diagonal(f, kappa)
+
+
+def _derive_distinct_diagonal(f, kappa, matrix=None):
+    """derive_distinct_diagonal, reusing the gadget's extension matrix at
+    kappa when the caller has it."""
     is_spec = isinstance(f, GadgetSpec)
     gadget: GadgetGraph = f.gadget if is_spec else f
     if len(gadget.dangling) != 2:
         raise PreconditionError("derivation needs exactly 2 dangling edges")
     if not gadget.base.is_connected():
         raise PreconditionError("gadget base is disconnected")
-    matrix = extension_matrix(gadget, kappa)
+    if matrix is None:
+        matrix = extension_matrix(gadget, kappa)
     dec = decompose_domain_invariant(matrix)
     if dec is None:
         raise PreconditionError("gadget signature is not domain invariant")

@@ -120,7 +120,8 @@ def select_gadget(kappa: int, r: int, want_planar: bool) -> GadgetSpec:
     Purely structural: no matrices are evaluated here. Planar and r-regular
     forces r in {3, 4, 5} (a simple planar graph has average degree below
     6), served by the three fixed gadgets. Non-planar equal-palette cases
-    use the matchings union; kappa > r uses the two-hub construction.
+    use the matchings union, except r = 5, where h5 (12 vertices) replaces
+    hstar:5 (120 vertices); kappa > r uses the two-hub construction.
     """
     if r < 3:
         raise PreconditionError("no gadget family for r=%d < 3" % r)
@@ -137,7 +138,7 @@ def select_gadget(kappa: int, r: int, want_planar: bool) -> GadgetSpec:
             )
         return builders[r]()
     if kappa == r:
-        return build_h_star(kappa)
+        return build_h5_icosahedron() if r == 5 else build_h_star(kappa)
     return build_f_nonplanar(kappa, r)[0]
 
 
@@ -233,10 +234,14 @@ def interpolation_pipeline(
     a != b; with a = b the two eigenvalues collide and the caller should
     pass the gadget through derive_distinct_diagonal first.
     """
-    gadget, name = _resolve_gadget(spec)
+    return _interpolate(g, kappa, spec, selector, extension_matrix(_resolve_gadget(spec)[0], kappa))
+
+
+def _interpolate(g, kappa, spec, selector, matrix) -> StratifiedSystem:
+    """interpolation_pipeline, given the gadget's extension matrix at kappa."""
+    name = _resolve_gadget(spec)[1]
     if selector is None:
         selector = EdgeSelector.parallel_only()
-    matrix = extension_matrix(gadget, kappa)
     dec = decompose_domain_invariant(matrix)
     if dec is None:
         raise PreconditionError(

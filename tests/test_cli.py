@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from edgecolorkit import MultiGraph, cli, count_assignments, parse_graph, reduction
+from edgecolorkit import MultiGraph, cli, count_assignments, counting, gadgets, parse_graph, reduction
+from edgecolorkit.gadgets import GadgetSpec
 from edgecolorkit.graphs import GadgetGraph
 
 from corpus import bundle, complete, path, petersen_open_spec
@@ -231,6 +232,38 @@ def test_interpolate_failed_check_exits_one(capsys, monkeypatch, b3_file):
     report = json.loads(out)
     assert report["check"]["verified"] is False
     assert report["count"] == "24"
+
+
+def _prism_open_spec():
+    """The triangular prism minus a triangle edge, danglers at its ends: a
+    3-regular gadget with a = b = 168 at kappa 4, so interpolate derives."""
+    edges = [(1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    return GadgetSpec("prism-open", 3, 3, True, GadgetGraph(MultiGraph(6, edges), (0, 1)))
+
+
+@pytest.mark.parametrize("derive", [False, True])
+def test_interpolate_computes_each_extension_matrix_once(capsys, monkeypatch, b3_file, derive):
+    calls = []
+
+    def counted(g, kappa):
+        calls.append(g)
+        return counting.extension_matrix(g, kappa)
+
+    for module in (cli, gadgets, reduction):
+        monkeypatch.setattr(module, "extension_matrix", counted)
+    if derive:
+        monkeypatch.setattr(cli, "parse_gadget_name", lambda name: _prism_open_spec())
+    code, out, _ = run_cli(
+        capsys,
+        "interpolate", "--input", b3_file, "--kappa", "4", "--gadget", "h3",
+        "--check",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["derived"] is derive and report["check"]["verified"] is True
+    # the gadget's matrix, then the derived gadget's when it derives
+    assert len(calls) == 1 + derive
+    assert len({g.vertex_count for g in calls}) == len(calls)
 
 
 def test_interpolate_refuses_equal_palette_gadget(capsys, b3_file):

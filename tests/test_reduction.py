@@ -22,6 +22,7 @@ from edgecolorkit import (
     select_gadget,
     simplify_equal_case,
     solve_vandermonde,
+    verify_key_property,
 )
 
 from corpus import bundle, c4_gadget, complete, cycle, path, petersen_open_spec
@@ -91,6 +92,9 @@ def test_select_gadget_table():
     # a planar request above the native palette still gets the planar gadget
     assert select_gadget(4, 3, True).name == "h3"
     assert select_gadget(6, 5, False).name == "fnp:6:5"
+    # hstar:5 has 120 vertices; h5 satisfies the key property at kappa 5
+    assert select_gadget(5, 5, False).name == "h5"
+    assert verify_key_property(select_gadget(5, 5, False), 5).holds
 
 
 def test_select_gadget_refusals():
