@@ -11,8 +11,10 @@ Its state records, per color, which frontier vertices use it. The
 constraints never name a color, so states are kept up to palette
 permutation, and colors with equal patterns are one branch weighted by
 their number. An edge may carry a domain-invariant weight (alpha when its
-two halves share a color, beta when they differ), which keeps that
-symmetry. One layer is live at a time and nothing recurses. The cost
+two halves share a color, beta when they differ). It is counted as
+(alpha - beta)[same] + beta[any]: [same] is the ordinary step and [any]
+two one-slot steps, one per half, all on the one step kernel, which keeps
+that symmetry. One layer is live at a time and nothing recurses. The cost
 follows the frontier width, so the order is the cheapest of four
 candidates (two greedy, two breadth-first), each scored by a cost-only
 pass before the winner's steps are built. The perfect-matching
@@ -168,54 +170,44 @@ def _best_plan(edges, inc, pinned=(), weighted=frozenset()):
     return (costs[best], *_plan(edges, inc, orders[best], pinned, weighted))
 
 
-def _run(steps, kappa: int, start: tuple[int, ...], split: int = 0) -> int:
+def _step(layer, both, keep, nxt):
+    """Color one edge, or one half-edge, in every state of layer, adding
+    the results into nxt and returning it. A color whose pattern is free at
+    the slots in both takes them, weighted by the number of colors with
+    that pattern; then the slots outside keep are cleared (none when keep
+    is -1) and the state is sorted back into canonical form."""
+    for pats, mult in layer.items():
+        for p in set(pats):
+            if p & both:
+                continue
+            new = list(pats)
+            new[new.index(p)] = p | both
+            if keep != -1:
+                new = [q & keep for q in new]
+            new.sort()
+            key = tuple(new)
+            nxt[key] = nxt.get(key, 0) + mult * pats.count(p)
+    return nxt
+
+
+def _run(steps, start: tuple[int, ...], lift: int = 1) -> int:
     """Push a canonical start state through the steps, one layer at a time;
     the number of completions.
 
-    A weighted step (half != 0) colors the edge's two halves on their own,
-    each proper at its end, and counts a pair of distinct colors split
-    times. The weight depends only on whether the two colors are equal, so
-    states stay canonical up to palette permutation.
+    A weighted step (half != 0) is (alpha - beta)[same] + beta[any].
+    [same] is the ordinary step, its results times lift. [any] colors the
+    edge's two halves on their own, each proper at its end: a one-slot
+    step at the first end, then one at the second, which also clears the
+    closed slots. Every term is a _step, so states stay canonical up to
+    palette permutation.
     """
     layer = {start: 1}
     for both, keep, half in steps:
-        nxt: dict = {}
-        if not half:
-            for pats, mult in layer.items():
-                for p in set(pats):
-                    if p & both:
-                        continue
-                    new = list(pats)
-                    new[new.index(p)] = p | both
-                    if keep != -1:
-                        new = [q & keep for q in new]
-                    new.sort()
-                    key = tuple(new)
-                    nxt[key] = nxt.get(key, 0) + mult * pats.count(p)
-        else:
-            other = both ^ half
-            for pats, mult in layer.items():
-                distinct = set(pats)
-                for p in distinct:
-                    count = pats.count(p)
-                    # one color at both ends: a pattern free at both
-                    if not p & both:
-                        new = list(pats)
-                        new[new.index(p)] = p | both
-                        key = tuple(sorted(r & keep for r in new))
-                        nxt[key] = nxt.get(key, 0) + mult * count
-                    if p & half:
-                        continue
-                    # p's color at the first end, another color q's at the second
-                    for q in distinct:
-                        ways = count * (pats.count(q) - (q == p))
-                        if q & other or not ways:
-                            continue
-                        new = list(pats)
-                        new[new.index(p)] = p | half
-                        new[new.index(q)] = q | other
-                        key = tuple(sorted(r & keep for r in new))
-                        nxt[key] = nxt.get(key, 0) + mult * split * ways
+        nxt = _step(layer, both, keep, {})
+        if half:
+            for key in nxt:
+                nxt[key] *= lift
+            _step(_step(layer, half, -1, {}), both ^ half, keep, nxt)
         if not nxt:
             return 0
         layer = nxt
@@ -246,7 +238,7 @@ def _counts(g: MultiGraph, jobs, dangling=()) -> list[int]:
                 pats[c] |= 1 << pins[v]
         start = tuple(sorted(pats))
         if start not in runs:
-            runs[start] = _run(steps, kappa, start)
+            runs[start] = _run(steps, start)
         out.append(runs[start])
     return out
 
@@ -286,15 +278,18 @@ def count_weighted_assignments(
     if kappa < max(map(len, inc), default=0):
         return [0] * len(weights)
     _, steps, _ = _best_plan(g.edges, inc, (), selected)
-    # One run counts the colorings by their number k of bichromatic
-    # selected edges, as the base-2^shift digits of one integer. No digit
-    # carries: it counts at most kappa^(edges + selected) partial colorings.
+    # alpha[same] + beta[differ] = (alpha - beta)[same] + beta[any], so one
+    # run counts the colorings with j selected edges in [same] and the rest
+    # in [any] as M_j, the base-2^shift digits of one integer, and each row
+    # is sum_j M_j (alpha - beta)^j beta^(m - j). No digit carries: a [same]
+    # edge takes one color and an [any] edge two, so with E edges
+    # M_j <= C(m, j) kappa^(E + m - j) <= 2^m kappa^(E + m) < 2^shift.
     m = len(selected)
-    shift = (len(g.edges) + m) * kappa.bit_length() + 1
-    packed = _run(steps, kappa, (0,) * kappa, 1 << shift)
-    strata = [packed >> (k * shift) & ((1 << shift) - 1) for k in range(m + 1)]
+    shift = (len(g.edges) + m) * kappa.bit_length() + m + 1
+    packed = _run(steps, (0,) * kappa, 1 << shift)
+    strata = [packed >> (j * shift) & ((1 << shift) - 1) for j in range(m + 1)]
     return [
-        sum(n * int(a) ** (m - k) * int(b) ** k for k, n in enumerate(strata))
+        sum(n * (int(a) - int(b)) ** j * int(b) ** (m - j) for j, n in enumerate(strata))
         for a, b in weights
     ]
 
@@ -492,31 +487,33 @@ def _count_partitions_capped(g: MultiGraph, kappa: int, limit: int) -> int:
     if max_class == 0 or n > kappa * max_class:
         return 0
     ends = [1 << a | 1 << b for a, b in edges]
-    found = 0
     classes: list[int] = []  # the vertex mask of each class
-
+    placed = [0] * n  # the class of each placed edge
+    found = i = c = 0  # i: the next edge to place, c: the first class to try
     # Free room is always kappa*max_class - i: pruning on it repeats the test above.
-    def rec(i: int):
-        nonlocal found
-        if found >= limit:
-            return
+    while found < limit:
         if i == n:
             found += 1
-            return
-        e = ends[i]
-        for c, cls in enumerate(classes):
-            if not cls & e:
-                classes[c] = cls | e
-                rec(i + 1)
-                classes[c] = cls
-                if found >= limit:
-                    return
-        if len(classes) < kappa:
-            classes.append(e)
-            rec(i + 1)
+        else:
+            e = ends[i]
+            while c < len(classes) and classes[c] & e:
+                c += 1
+            if c == len(classes) < kappa:
+                classes.append(0)
+            if c < len(classes):
+                classes[c] |= e
+                placed[i] = c
+                i, c = i + 1, 0
+                continue
+        # backtrack: take the last edge out and try it in a later class
+        if not i:
+            break
+        i -= 1
+        c = placed[i]
+        classes[c] ^= ends[i]
+        if not classes[c]:  # the edge had opened the last class
             classes.pop()
-
-    rec(0)
+        c += 1
     return found
 
 

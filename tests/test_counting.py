@@ -245,7 +245,7 @@ def test_engine_matches_oracles_with_pinned_boundaries(data):
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_weighted_count_matches_placed_grid(data):
+def test_weighted_count_matches_oracle(data):
     n = data.draw(st.integers(min_value=2, max_value=5))
     vertex = st.integers(min_value=0, max_value=n - 1)
     edges = data.draw(
@@ -679,3 +679,9 @@ def test_capped_partition_count_matches_oracle():
                     kappa,
                     limit,
                 )
+
+
+def test_classifier_on_long_path_does_not_recurse():
+    # the partition search is iterative: one level per edge would overflow
+    # the interpreter's recursion limit here
+    assert not is_uniquely_partition_colorable(path(1500), 4)

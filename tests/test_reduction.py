@@ -17,6 +17,7 @@ from edgecolorkit import (
     check_certificate,
     count_assignments,
     cross_validate_omega_n,
+    decompose_extension,
     derive_distinct_diagonal,
     interpolation_pipeline,
     select_gadget,
@@ -104,6 +105,35 @@ def test_select_gadget_refusals():
         select_gadget(3, 4, False)
     with pytest.raises(PreconditionError, match="Euler"):
         select_gadget(6, 6, True)
+
+
+# The paper's hardness claim covers every kappa >= r >= 3, and planar graphs
+# for r in {3, 4, 5}. fnp:7:5 is left out of the window for its cost.
+PAPER_WINDOW = {
+    True: {3: range(3, 7), 4: range(4, 7), 5: range(5, 7)},
+    False: {3: range(3, 7), 4: range(4, 8), 5: range(5, 7)},
+}
+
+
+def test_select_gadget_covers_paper_window():
+    g = bundle(2)
+    for planar, by_r in PAPER_WINDOW.items():
+        for r, kappas in by_r.items():
+            for kappa in kappas:
+                spec = select_gadget(kappa, r, planar)
+                a, b = decompose_extension(spec.gadget, kappa)
+                where = (spec.name, kappa, r, planar)
+                if kappa == r:
+                    # the extension matrix is c*I with c > 0: the splice applies
+                    assert b == 0 and a > 0, where
+                    continue
+                assert b != 0 and a != b, where
+                matrix = [[a if i == j else b for j in range(kappa)] for i in range(kappa)]
+                system = reduction._interpolate(g, kappa, spec, None, matrix)
+                assert system.recovered == count_assignments(g, kappa), where
+    for kappa in (6, 7):
+        with pytest.raises(PreconditionError, match="Euler"):
+            select_gadget(kappa, 6, True)
 
 
 # ---------------------------------------------------------------------------
