@@ -27,16 +27,14 @@ from .cnf import BRUTE_FORCE_VARIABLE_CAP, count_sat, parse_dimacs, render_dimac
 from .counting import (
     count_assignments,
     count_by_matching_decomposition,
-    extension_matrix,
     is_uniquely_partition_colorable,
     partition_spectrum,
 )
 from .errors import KeyPropertyError, ParseError, PreconditionError
-from .gadgets import GadgetError, _derive_distinct_diagonal, parse_gadget_name, verify_key_property
+from .gadgets import GadgetError, parse_gadget_name, verify_key_property
 from .graphs import EdgeSelector, GadgetGraph, MultiGraph, parse_graph, render_graph
-from .holant import decompose_domain_invariant
 from .reduction import (
-    _interpolate,
+    interpolation_pipeline,
     recount_certificate,
     select_gadget,
     simplify_equal_case,
@@ -152,25 +150,17 @@ def cmd_reduce(args) -> tuple[dict, int]:
 
 def cmd_interpolate(args) -> tuple[dict, int]:
     g, digest = _load_multigraph(args.input)
-    spec = parse_gadget_name(args.gadget)
     selector = (
         EdgeSelector.all_edges() if args.selector == "all" else EdgeSelector.parallel_only()
     )
-    derived = False
-    matrix = extension_matrix(spec.gadget, args.kappa)
-    dec = decompose_domain_invariant(matrix)
-    if dec is not None and dec[0] == dec[1] and dec[1] != 0:
-        spec = _derive_distinct_diagonal(spec, args.kappa, matrix)
-        matrix = extension_matrix(spec.gadget, args.kappa)
-        derived = True
-    system = _interpolate(g, args.kappa, spec, selector, matrix)
+    system = interpolation_pipeline(g, args.kappa, parse_gadget_name(args.gadget), selector)
     report = {
         "columns": [_dec(v) for v in system.column_values],
         "command": "interpolate",
         "count": _dec(system.recovered),
-        "derived": derived,
+        "derived": system.derived,
         "gadget": args.gadget,
-        "gadget_used": spec.name,
+        "gadget_used": system.gadget,
         "input": args.input,
         "input_sha256": digest,
         "kappa": args.kappa,

@@ -352,7 +352,9 @@ def decompose_extension(g: GadgetGraph, kappa: int) -> tuple[int, int]:
 def enumerate_perfect_matchings(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
     """All perfect matchings, each as a sorted tuple of edge indices.
 
-    Parallel edges yield distinct matchings. Deterministic order.
+    Parallel edges yield distinct matchings. Deterministic order: a
+    depth-first search that matches the lowest uncovered vertex, with an
+    explicit stack, so no depth limit applies.
     """
     n = g.vertex_count
     if n % 2:
@@ -361,31 +363,37 @@ def enumerate_perfect_matchings(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
     edges = g.edges
     covered = [False] * n
     out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def rec():
-        v = -1
-        for w in range(n):
-            if not covered[w]:
-                v = w
-                break
-        if v == -1:
+    chosen: list[int] = []  # the edge matched at each open vertex
+    stack: list[list[int]] = []  # [vertex, next position in adj] per open vertex
+    v = 0  # every vertex below v is covered
+    while True:
+        while v < n and covered[v]:
+            v += 1
+        if v == n:
             out.append(tuple(chosen))
-            return
-        covered[v] = True
-        for i in adj[v]:
-            a, b = edges[i]
-            w = b if a == v else a
-            if not covered[w]:
-                covered[w] = True
-                chosen.append(i)
-                rec()
-                chosen.pop()
-                covered[w] = False
-        covered[v] = False
-
-    rec()
-    return tuple(out)
+        else:
+            covered[v] = True
+            stack.append([v, 0])
+        # move the deepest open vertex on to its next uncovered partner,
+        # closing the open vertices that have none left
+        while stack:
+            u, k = stack[-1]
+            # the far end of an edge at u is sum(edge) - u
+            if len(chosen) == len(stack):  # take back u's current partner
+                covered[sum(edges[chosen.pop()]) - u] = False
+            incident = adj[u]
+            while k < len(incident) and covered[sum(edges[incident[k]]) - u]:
+                k += 1
+            if k < len(incident):
+                stack[-1][1] = k + 1
+                covered[sum(edges[incident[k]]) - u] = True
+                chosen.append(incident[k])
+                break
+            covered[u] = False
+            stack.pop()
+        else:
+            return tuple(out)
+        v = u + 1
 
 
 def count_by_matching_decomposition(g: MultiGraph, kappa: int, r: int) -> int:
@@ -521,27 +529,12 @@ def is_uniquely_partition_colorable(g: MultiGraph, kappa: int) -> bool:
     """Whether g has exactly one partition into at most kappa matchings.
 
     Only defined for kappa >= 4 (below that, use partition_spectrum
-    directly). Isolated vertices are irrelevant.
-
-    With n <= kappa edges the all-singletons partition is valid, so
-    uniqueness holds iff no two edges are vertex-disjoint (any disjoint
-    pair could be merged into a second partition): the edges must pairwise
-    intersect, which on simple graphs means a star K_{1,j} with j <= kappa,
-    the triangle, or the empty graph, and on multigraphs also admits
-    parallel bundles and triangles with repeated edges. With n > kappa no
-    closed shape list survives (forced-merge configurations exist), so the
-    decision falls back to counting partitions with an early exit at two.
+    directly). Isolated vertices are irrelevant. Decided by counting
+    partitions in canonical order with an early exit at two.
     """
     if kappa < 4:
         raise PreconditionError(
             "uniqueness classifier requires kappa >= 4; "
             "use partition_spectrum for smaller palettes"
         )
-    edges = g.edges
-    n = len(edges)
-    if n == 0:
-        return True
-    if n <= kappa:
-        ends = [1 << a | 1 << b for a, b in edges]
-        return all(e & f for i, e in enumerate(ends) for f in ends[i + 1:])
     return _count_partitions_capped(g, kappa, 2) == 1

@@ -391,23 +391,15 @@ def derive_distinct_diagonal(
     acts as a near-free coupling while the surviving path re-links the
     dangler colors, so the derived matrix separates a and b again.
     Refuses when a != b already ("not needed") or when the matrix is not
-    domain invariant or identically zero.
+    domain invariant or identically zero. interpolation_pipeline builds
+    the same structure itself when it meets a = b != 0.
     """
-    return _derive_distinct_diagonal(f, kappa)
-
-
-def _derive_distinct_diagonal(f, kappa, matrix=None):
-    """derive_distinct_diagonal, reusing the gadget's extension matrix at
-    kappa when the caller has it."""
-    is_spec = isinstance(f, GadgetSpec)
-    gadget: GadgetGraph = f.gadget if is_spec else f
+    gadget: GadgetGraph = f.gadget if isinstance(f, GadgetSpec) else f
     if len(gadget.dangling) != 2:
         raise PreconditionError("derivation needs exactly 2 dangling edges")
     if not gadget.base.is_connected():
         raise PreconditionError("gadget base is disconnected")
-    if matrix is None:
-        matrix = extension_matrix(gadget, kappa)
-    dec = decompose_domain_invariant(matrix)
+    dec = decompose_domain_invariant(extension_matrix(gadget, kappa))
     if dec is None:
         raise PreconditionError("gadget signature is not domain invariant")
     a, b = dec
@@ -419,6 +411,15 @@ def _derive_distinct_diagonal(f, kappa, matrix=None):
         raise PreconditionError(
             "gadget signature is identically zero at kappa=%d" % kappa
         )
+    return _derived_gadget(f, kappa)
+
+
+def _derived_gadget(f, kappa):
+    """The structure derive_distinct_diagonal builds, without its checks:
+    a GadgetSpec in yields "<name>-dd" at palette size kappa, a plain
+    GadgetGraph stays plain."""
+    is_spec = isinstance(f, GadgetSpec)
+    gadget: GadgetGraph = f.gadget if is_spec else f
     s, t = gadget.dangling
     path_edges = set(_lex_shortest_path_edges(gadget.base, s, t))
     others = [i for i in range(len(gadget.base.edges)) if i not in path_edges]
@@ -426,9 +427,7 @@ def _derive_distinct_diagonal(f, kappa, matrix=None):
     derived = GadgetGraph(new_base, gadget.dangling)
     if not is_spec:
         return derived
-    return GadgetSpec(
-        "%s-dd" % f.name, kappa, f.r, f.planar_claimed, derived
-    )
+    return GadgetSpec("%s-dd" % f.name, kappa, f.r, f.planar_claimed, derived)
 
 
 def parse_gadget_name(name: str) -> GadgetSpec:

@@ -18,12 +18,14 @@ x_0..x_m with
     Holant(Omega_n) = sum_i x_i * (lambda1^i * lambda2^(m-i))^n
 
 for n = 1..m+1: a Vandermonde system in the merged column values. Solved
-exactly over the rationals, the unknowns sum to the original count.
+exactly over the rationals, the unknowns sum to the original count. With
+a = b != 0 the columns collide (lambda2 = 0): the pipeline derives first.
 
 The rows never build the chains. A^n = alpha_n*I + beta_n*(J - I) with
 beta_n = (lambda1^n - lambda2^n) / kappa and alpha_n = beta_n + lambda2^n,
 so row n is a weighted count of g on the frontier engine
-(count_weighted_assignments), and one engine run serves every row. The
+(count_weighted_assignments), and one engine run serves every row;
+cross_validate_omega_n checks the same weights on explicit chains. The
 system is solved by Björck and Pereyra's O(m^2) algorithm, and the solution
 is substituted back into every equation before it is used.
 """
@@ -39,6 +41,7 @@ from .counting import count_assignments, count_weighted_assignments, extension_m
 from .errors import KeyPropertyError, PreconditionError
 from .gadgets import (
     GadgetSpec,
+    _derived_gadget,
     build_f_nonplanar,
     build_h3,
     build_h4,
@@ -48,7 +51,7 @@ from .gadgets import (
     verify_key_property,
 )
 from .graphs import EdgeSelector, GadgetGraph, MultiGraph, replace_edges
-from .holant import decompose_domain_invariant, eigenvalues_ab, matrix_power
+from .holant import decompose_domain_invariant, eigenvalues_ab
 
 
 @dataclass(frozen=True)
@@ -146,8 +149,9 @@ def select_gadget(kappa: int, r: int, want_planar: bool) -> GadgetSpec:
 class StratifiedSystem:
     """The solved interpolation system: chain lengths n = 1..m+1 down the
     rows, merged eigenvalue products lambda1^i * lambda2^(m-i) across the
-    columns, exact rational solution, and the recovered count (the sum of
-    the unknowns)."""
+    columns, exact rational solution, the recovered count (the sum of the
+    unknowns), the name of the gadget the chains were built from, and
+    whether that gadget was derived from the one passed in."""
 
     m: int
     lambda1: int
@@ -156,6 +160,8 @@ class StratifiedSystem:
     rows: tuple[int, ...]
     solution: tuple[Fraction, ...]
     recovered: int
+    gadget: str
+    derived: bool
 
 
 def _solve_dual(nodes: Sequence[int], rhs: Sequence[int]) -> list[Fraction]:
@@ -214,6 +220,16 @@ def _resolve_gadget(spec: Union[GadgetSpec, GadgetGraph]) -> tuple[GadgetGraph, 
     return spec.gadget, spec.name
 
 
+def _chain_weight(a: int, b: int, kappa: int, n: int) -> tuple[int, int]:
+    """(alpha_n, beta_n) with A^n = alpha_n*I + beta_n*(J - I) for
+    A = a*I + b*(J - I) over kappa colors. A^n = lambda2^n * I +
+    (lambda1^n - lambda2^n) / kappa * J, and the division is exact since
+    lambda1 - lambda2 = kappa * b."""
+    lam1, lam2 = eigenvalues_ab(a, b, kappa)
+    beta = (lam1 ** n - lam2 ** n) // kappa
+    return beta + lam2 ** n, beta
+
+
 def interpolation_pipeline(
     g: MultiGraph,
     kappa: int,
@@ -222,27 +238,28 @@ def interpolation_pipeline(
 ) -> StratifiedSystem:
     """Recover count(g, kappa) from chain-replaced instances.
 
+    The gadget matrix must be domain invariant with b != 0. When a = b != 0
+    the pipeline runs once on the gadget derive_distinct_diagonal builds,
+    and the result names the gadget used.
+
     The selector fixes the replaced edge set F (default: the parallel
     edges, so simple graphs go through with m = 0 and multigraphs touch
     only what they must). Each row n is the Holant of g with the gadget
     chain's matrix A^n placed on F, which counts colorings of the
     n-chain-replaced graph without building it: a weighted count on the
-    frontier engine, with weight (alpha_n, beta_n) on each edge of F, all
-    rows from one plan. solve_vandermonde solves the rows by Björck and
-    Pereyra's algorithm and substitutes the solution back into every
-    equation. Requires the gadget matrix to be domain invariant with
-    a != b; with a = b the two eigenvalues collide and the caller should
-    pass the gadget through derive_distinct_diagonal first.
+    frontier engine, with the closed-form weight (alpha_n, beta_n) of A^n
+    on each edge of F, all rows from one plan. solve_vandermonde solves the
+    rows by Björck and Pereyra's algorithm and substitutes the solution
+    back into every equation.
     """
-    return _interpolate(g, kappa, spec, selector, extension_matrix(_resolve_gadget(spec)[0], kappa))
-
-
-def _interpolate(g, kappa, spec, selector, matrix) -> StratifiedSystem:
-    """interpolation_pipeline, given the gadget's extension matrix at kappa."""
-    name = _resolve_gadget(spec)[1]
     if selector is None:
         selector = EdgeSelector.parallel_only()
-    dec = decompose_domain_invariant(matrix)
+    gadget, name = _resolve_gadget(spec)
+    dec = decompose_domain_invariant(extension_matrix(gadget, kappa))
+    derived = dec is not None and dec[0] == dec[1] != 0
+    if derived:
+        gadget, name = _resolve_gadget(_derived_gadget(spec, kappa))
+        dec = decompose_domain_invariant(extension_matrix(gadget, kappa))
     if dec is None:
         raise PreconditionError(
             "gadget %s is not domain invariant at kappa=%d" % (name, kappa)
@@ -255,8 +272,8 @@ def _interpolate(g, kappa, spec, selector, matrix) -> StratifiedSystem:
                 % (name, kappa)
             )
         raise PreconditionError(
-            "gadget %s has a = b = %d at kappa=%d; derive_distinct_diagonal"
-            " can produce a usable variant" % (name, a, kappa)
+            "gadget %s still has a = b = %d at kappa=%d after derivation"
+            % (name, a, kappa)
         )
     if b == 0:
         raise PreconditionError(
@@ -276,19 +293,14 @@ def _interpolate(g, kappa, spec, selector, matrix) -> StratifiedSystem:
         raise RuntimeError(
             "internal: merged column values collided despite lambda1 > |lambda2|"
         )
-    # A^n = lambda2^n * I + (lambda1^n - lambda2^n) / kappa * J; the
-    # division is exact since lambda1 - lambda2 = kappa * b
-    weights = []
-    for n in range(1, m + 2):
-        beta = (lam1 ** n - lam2 ** n) // kappa
-        weights.append((beta + lam2 ** n, beta))
+    weights = [_chain_weight(a, b, kappa, n) for n in range(1, m + 2)]
     rows = count_weighted_assignments(g, kappa, selected, weights)
     solution = solve_vandermonde(columns, rows)
     total = sum(solution, Fraction(0))
     if total.denominator != 1 or total < 0:
         raise RuntimeError("internal: recovered count %s is not a nonnegative integer" % total)
     return StratifiedSystem(
-        m, lam1, lam2, columns, tuple(rows), tuple(solution), int(total)
+        m, lam1, lam2, columns, tuple(rows), tuple(solution), int(total), name, derived
     )
 
 
@@ -302,7 +314,8 @@ def cross_validate_omega_n(
     """Check one interpolation row the slow way: build the n-chain-replaced
     graph explicitly, with every gadget copy inlined as real vertices, and
     count its colorings directly. Guards the shortcut the pipeline relies
-    on, the weighted count with A^n's entries on the selected edges. The
+    on: the weighted count with A^n's entries (alpha_n, beta_n) on the
+    selected edges, from the closed form the pipeline's rows use. The
     expanded instance grows with n, so n is capped at 2."""
     if not (1 <= n <= 2):
         raise PreconditionError("direct cross-validation is capped at n <= 2")
@@ -310,7 +323,8 @@ def cross_validate_omega_n(
     chain = chain_graph(gadget, n)
     expanded, _ = replace_edges(g, chain, selector)
     direct = count_assignments(expanded, kappa)
-    # a gadget's matrix is domain invariant: palette permutations fix it
-    power = matrix_power(extension_matrix(gadget, kappa), n)
-    weight = (power[0][0], power[0][1] if kappa > 1 else 0)
+    # a gadget's matrix is domain invariant: palette permutations fix it;
+    # one color has no off-diagonal, and b = 0 gives beta_n = 0
+    matrix = extension_matrix(gadget, kappa)
+    weight = _chain_weight(matrix[0][0], matrix[0][1] if kappa > 1 else 0, kappa, n)
     return direct == count_weighted_assignments(g, kappa, selector.select(g), [weight])[0]

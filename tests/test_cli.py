@@ -69,17 +69,16 @@ def test_count_rejects_gadget_input(capsys, tmp_path):
     assert "dangling" in err and out == ""
 
 
-def test_count_too_deep_for_the_matching_method_is_a_refusal(capsys, tmp_path):
-    # Perfect-matching enumeration recurses once per matched pair, so a
-    # 1,200-edge perfect matching runs out of recursion depth.
+def test_count_matching_method_answers_a_deep_perfect_matching(capsys, tmp_path):
+    # 1,200 matched pairs: deeper than the default recursion limit, which
+    # the perfect-matching enumeration does not use
     target = tmp_path / "matching.txt"
     target.write_text(MultiGraph(2400, [(v, v + 1) for v in range(0, 2400, 2)]).render())
     code, out, err = run_cli(
         capsys, "count", "--input", str(target), "--kappa", "1", "--method", "matching"
     )
-    assert code == 3 and out == ""
-    assert err.startswith("error: ") and "RecursionError" in err
-    assert "Traceback" not in err
+    assert code == 0 and err == ""
+    assert json.loads(out)["count"] == "1"
 
 
 def test_out_of_memory_is_a_refusal(capsys, monkeypatch, b3_file):
@@ -90,6 +89,17 @@ def test_out_of_memory_is_a_refusal(capsys, monkeypatch, b3_file):
     code, out, err = run_cli(capsys, "count", "--input", b3_file, "--kappa", "3")
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "MemoryError" in err
+
+
+def test_out_of_recursion_depth_is_a_refusal(capsys, monkeypatch, b3_file):
+    def too_deep(args):
+        raise RecursionError
+
+    monkeypatch.setattr(cli, "cmd_count", too_deep)
+    code, out, err = run_cli(capsys, "count", "--input", b3_file, "--kappa", "3")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "RecursionError" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +259,7 @@ def test_interpolate_computes_each_extension_matrix_once(capsys, monkeypatch, b3
         calls.append(g)
         return counting.extension_matrix(g, kappa)
 
-    for module in (cli, gadgets, reduction):
+    for module in (gadgets, reduction):
         monkeypatch.setattr(module, "extension_matrix", counted)
     if derive:
         monkeypatch.setattr(cli, "parse_gadget_name", lambda name: _prism_open_spec())
@@ -261,6 +271,7 @@ def test_interpolate_computes_each_extension_matrix_once(capsys, monkeypatch, b3
     assert code == 0
     report = json.loads(out)
     assert report["derived"] is derive and report["check"]["verified"] is True
+    assert report["gadget_used"] == ("prism-open-dd" if derive else "h3")
     # the gadget's matrix, then the derived gadget's when it derives
     assert len(calls) == 1 + derive
     assert len({g.vertex_count for g in calls}) == len(calls)

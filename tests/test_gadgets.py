@@ -29,7 +29,7 @@ from edgecolorkit import (
     verify_key_property,
 )
 from edgecolorkit.counting import decompose_extension
-from edgecolorkit.gadgets import _derive_distinct_diagonal
+from edgecolorkit.gadgets import _derived_gadget
 
 from corpus import c4_gadget, petersen_open_spec
 
@@ -348,9 +348,9 @@ def _planar_with_danglers_on_one_face(g):
 @pytest.mark.parametrize("name", ["h3", "h4", "h5"])
 def test_planar_gadgets_chains_and_derivations_are_planar(name):
     spec = parse_gadget_name(name)
-    # derive_distinct_diagonal refuses these gadgets (their a != b); a
-    # stand-in J matrix lets it build the structure it would derive.
-    derived = _derive_distinct_diagonal(spec, 2, ((1, 1), (1, 1)))
+    # derive_distinct_diagonal refuses these gadgets (their a != b), so the
+    # structure it would derive is built directly
+    derived = _derived_gadget(spec, spec.kappa)
     assert derived.name == name + "-dd"
     for g in (spec, chain_gadget(spec, 2), derived):
         assert g.planar_claimed

@@ -121,15 +121,18 @@ def test_select_gadget_covers_paper_window():
         for r, kappas in by_r.items():
             for kappa in kappas:
                 spec = select_gadget(kappa, r, planar)
-                a, b = decompose_extension(spec.gadget, kappa)
                 where = (spec.name, kappa, r, planar)
                 if kappa == r:
                     # the extension matrix is c*I with c > 0: the splice applies
+                    a, b = decompose_extension(spec.gadget, kappa)
                     assert b == 0 and a > 0, where
                     continue
-                assert b != 0 and a != b, where
-                matrix = [[a if i == j else b for j in range(kappa)] for i in range(kappa)]
-                system = reduction._interpolate(g, kappa, spec, None, matrix)
+                system = interpolation_pipeline(g, kappa, spec)
+                assert not system.derived and system.gadget == spec.name, where
+                # lambda1 - lambda2 = kappa * b and lambda2 = a - b
+                b, rest = divmod(system.lambda1 - system.lambda2, kappa)
+                a = system.lambda2 + b
+                assert rest == 0 and b != 0 and a != b, where
                 assert system.recovered == count_assignments(g, kappa), where
     for kappa in (6, 7):
         with pytest.raises(PreconditionError, match="Euler"):
@@ -282,8 +285,18 @@ def test_pipeline_negative_lambda2_from_spec():
     assert system.recovered == count_assignments(g, 6) == 30
 
 
-def test_pipeline_refuses_equal_eigenvalues_with_hint():
-    with pytest.raises(PreconditionError, match="derive_distinct_diagonal"):
+def test_pipeline_derives_when_a_equals_b():
+    # c4 has a = b = 2 at kappa 3; the pipeline runs on its derivation
+    system = interpolation_pipeline(bundle(2), 3, c4_gadget())
+    assert system.derived and system.gadget == "gadget"
+    assert (system.lambda1, system.lambda2) == (192, -24)
+    assert system.recovered == count_assignments(bundle(2), 3) == 6
+
+
+def test_pipeline_refuses_a_derivation_that_keeps_a_equal_to_b(monkeypatch):
+    # the derived gadget is not derived again
+    monkeypatch.setattr(reduction, "_derived_gadget", lambda f, kappa: f)
+    with pytest.raises(PreconditionError, match="still has a = b = 2 at kappa=3"):
         interpolation_pipeline(bundle(2), 3, c4_gadget())
 
 
