@@ -99,8 +99,8 @@ def cmd_verify_gadget(args) -> tuple[dict, int]:
     if args.output:
         Path(args.output).write_text(render_graph(spec.gadget))
     report = {
-        "a": None if rep.a is None else _dec(rep.a),
-        "b": None if rep.b is None else _dec(rep.b),
+        "a": _dec(rep.a),
+        "b": _dec(rep.b),
         "c": _dec(rep.c),
         "command": "verify-gadget",
         "domain_invariant": rep.domain_invariant,
@@ -197,7 +197,7 @@ def cmd_unique(args) -> tuple[dict, int]:
         if args.kappa ** g.edge_count > UNIQUE_ENUMERATION_BUDGET:
             raise PreconditionError(
                 "kappa^edges = %d^%d exceeds the enumeration budget; the"
-                " constant-time classifier needs kappa >= 4"
+                " capped partition search needs kappa >= 4"
                 % (args.kappa, g.edge_count)
             )
         unique = partition_spectrum(g, args.kappa).total() == 1

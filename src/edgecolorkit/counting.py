@@ -4,20 +4,20 @@ A proper edge coloring with palette {0..kappa-1} assigns every edge a color
 so that edges sharing a vertex always differ. All counters here are exact
 over Python integers.
 
-count_assignments, count_weighted_assignments, count_extensions,
-decompose_extension and extension_matrix run on one engine: a forward,
-layered dynamic program over a static edge order (frontier-based search).
-Its state records, per color, which frontier vertices use it. The
-constraints never name a color, so states are kept up to palette
-permutation, and colors with equal patterns are one branch weighted by
-their number. An edge may carry a domain-invariant weight (alpha when its
-two halves share a color, beta when they differ). It is counted as
-(alpha - beta)[same] + beta[any]: [same] is the ordinary step and [any]
-two one-slot steps, one per half, all on the one step kernel, which keeps
-that symmetry. One layer is live at a time and nothing recurses. The cost
-follows the frontier width, so the order is the cheapest of four
-candidates (two greedy, two breadth-first), each scored by a cost-only
-pass before the winner's steps are built. The perfect-matching
+count_assignments, count_weighted_assignments, count_extensions and
+decompose_extension (whose matrix view is extension_matrix) run on one
+engine: a forward, layered dynamic program over a static edge order
+(frontier-based search). Its state records, per color, which frontier
+vertices use it. The constraints never name a color, so states are kept up
+to palette permutation, and colors with equal patterns are one branch
+weighted by their number. An edge may carry a domain-invariant weight
+(alpha when its two halves share a color, beta when they differ). It is
+counted as (alpha - beta)[same] + beta[any]: [same] is the ordinary step
+and [any] two one-slot steps, one per half, all on the one step kernel,
+which keeps that symmetry. One layer is live at a time and nothing
+recurses. The cost follows the frontier width, so the order is the cheapest
+of four candidates (two greedy, two breadth-first), each scored by a
+cost-only pass before the winner's steps are built. The perfect-matching
 decomposition below is an independent route.
 """
 
@@ -216,13 +216,12 @@ def _run(steps, start: tuple[int, ...], lift: int = 1) -> int:
 
 def _counts(g: MultiGraph, jobs, dangling=()) -> list[int]:
     """Colorings of g with the given danglers for each (kappa, boundary)
-    job, from one plan. Each job gets its own pinned start state; jobs
-    whose canonical start states are equal share one engine run. A palette
-    smaller than the largest degree of g admits no coloring."""
+    job, from one plan; each job is one engine run from its own pinned
+    start state. A palette smaller than the largest degree of g admits no
+    coloring."""
     inc = g.incidence_lists()
     top = max(map(len, inc), default=0)
     plan = None
-    runs: dict = {}
     out = []
     for kappa, boundary in jobs:
         # a palette below the largest degree, or two danglers share a color
@@ -236,10 +235,7 @@ def _counts(g: MultiGraph, jobs, dangling=()) -> list[int]:
         for v, c in zip(dangling, boundary):
             if v in pins:
                 pats[c] |= 1 << pins[v]
-        start = tuple(sorted(pats))
-        if start not in runs:
-            runs[start] = _run(steps, start)
-        out.append(runs[start])
+        out.append(_run(steps, tuple(sorted(pats))))
     return out
 
 
@@ -251,7 +247,7 @@ def count_assignments(g: MultiGraph, kappa: int) -> int:
     if isinstance(g, GadgetGraph):
         raise PreconditionError("gadget graphs are counted via count_extensions")
     if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+        raise PreconditionError("kappa must be nonnegative")
     return _counts(g, [(kappa, ())])[0]
 
 
@@ -270,7 +266,7 @@ def count_weighted_assignments(
     if isinstance(g, GadgetGraph):
         raise PreconditionError("gadget graphs are counted via count_extensions")
     if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+        raise PreconditionError("kappa must be nonnegative")
     selected = frozenset(selected)
     if not selected <= frozenset(range(len(g.edges))):
         raise PreconditionError("selected edge index out of range")
@@ -308,7 +304,7 @@ def count_extensions(g: GadgetGraph, kappa: int, boundary: Sequence[int]) -> int
             % (len(boundary), len(g.dangling))
         )
     if kappa < 1:
-        raise ValueError("kappa must be positive")
+        raise PreconditionError("kappa must be positive")
     boundary = [int(c) for c in boundary]
     for c in boundary:
         if not (0 <= c < kappa):
@@ -320,27 +316,31 @@ def extension_matrix(g: GadgetGraph, kappa: int) -> tuple[tuple[int, ...], ...]:
     """The extension matrix of a 2-dangler gadget: M[c1][c2] =
     count_extensions(g, kappa, [c1, c2]).
 
-    Each entry is counted from its own pinned start state; nothing is filled
-    in by symmetry. Entries with equal canonical start states share one
-    engine run, so danglers at two distinct vertices take two runs.
+    At kappa >= 2 it is a*I + b*(J - I) with (a, b) =
+    decompose_extension(g, kappa), and makes no engine run of its own; at
+    kappa = 1 it is the single entry count_extensions(g, 1, [0, 0]).
     """
     if len(g.dangling) != 2:
         raise PreconditionError("extension_matrix needs exactly 2 dangling edges")
     if kappa < 1:
-        raise ValueError("kappa must be positive")
-    jobs = [(kappa, (c1, c2)) for c1 in range(kappa) for c2 in range(kappa)]
-    flat = _counts(g.base, jobs, g.dangling)
-    return tuple(tuple(flat[c1 * kappa:(c1 + 1) * kappa]) for c1 in range(kappa))
+        raise PreconditionError("kappa must be positive")
+    if kappa == 1:
+        return ((count_extensions(g, 1, (0, 0)),),)
+    a, b = decompose_extension(g, kappa)
+    return tuple(tuple(a if i == j else b for j in range(kappa)) for i in range(kappa))
 
 
 def decompose_extension(g: GadgetGraph, kappa: int) -> tuple[int, int]:
-    """(diagonal, off-diagonal) of a 2-dangler gadget's extension matrix
-    from just two pinned boundaries.
+    """The signature (a, b) of a 2-dangler gadget: its extension matrix is
+    a*I + b*(J - I), and a and b are the counts with boundary (0, 0) and
+    (0, 1), two engine runs.
 
-    Sound without computing the full matrix: permuting the palette bijects
-    internal colorings while permuting the boundary pair, so the extension
-    count depends only on whether the two boundary colors coincide. The
-    matrix is therefore always a*I + b*(J - I), and (a, b) determines it.
+    Permuting the palette bijects internal colorings while permuting the
+    boundary pair, so the extension count depends only on whether the two
+    boundary colors coincide, and these two entries determine the matrix.
+    Every caller that needs a gadget's signature takes it from here; the
+    tests check whole matrices against a brute-force oracle that knows
+    nothing of that symmetry.
     """
     if len(g.dangling) != 2:
         raise PreconditionError("decomposition needs exactly 2 dangling edges")
@@ -466,7 +466,7 @@ def partition_spectrum(g: MultiGraph, kappa: int) -> PartitionSpectrum:
     exactly over the integers.
     """
     if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+        raise PreconditionError("kappa must be nonnegative")
     if isinstance(g, GadgetGraph):
         raise PreconditionError("gadget graphs are counted via count_extensions")
     a = _counts(g, [(j, ()) for j in range(kappa + 1)])

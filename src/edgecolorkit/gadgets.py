@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
-from .counting import extension_matrix
+from .counting import decompose_extension
 from .errors import ParseError, PreconditionError
 from .graphs import EdgeSelector, GadgetGraph, MultiGraph, replace_edges
-from .holant import Matrix, decompose_domain_invariant
+from .holant import Matrix
 
 
 class GadgetError(ValueError):
@@ -59,9 +59,10 @@ class GadgetSpec:
 class KeyPropertyReport:
     """Outcome of checking that a gadget's extension matrix is c * I.
 
-    holds is true iff the matrix is domain invariant with off-diagonal b = 0
-    and diagonal c > 0. a and b are None when the matrix is not domain
-    invariant. gadget_name and kappa echo what was checked.
+    The matrix is a*I + b*(J - I). holds is true iff b = 0 and a > 0, and
+    then c = a (else c = 0). domain_invariant is always true: palette
+    symmetry makes every extension matrix so. gadget_name and kappa echo
+    what was checked.
     """
 
     gadget_name: str
@@ -69,21 +70,17 @@ class KeyPropertyReport:
     holds: bool
     c: int
     matrix: Matrix
-    a: Optional[int]
-    b: Optional[int]
+    a: int
+    b: int
     domain_invariant: bool
 
 
 def verify_key_property(spec: GadgetSpec, kappa: int) -> KeyPropertyReport:
-    """Compute the extension matrix and test the c * I shape. The counting
-    engine works up to palette permutation, so the matrix is domain
-    invariant by construction; the tests check its entries against
-    brute-force oracles."""
-    matrix = extension_matrix(spec.gadget, kappa)
-    dec = decompose_domain_invariant(matrix)
-    if dec is None:
-        return KeyPropertyReport(spec.name, kappa, False, 0, matrix, None, None, False)
-    a, b = dec
+    """Test the c * I shape on the signature (a, b) from
+    decompose_extension, which needs kappa >= 2; the report carries the
+    matrix a*I + b*(J - I) it stands for."""
+    a, b = decompose_extension(spec.gadget, kappa)
+    matrix = tuple(tuple(a if i == j else b for j in range(kappa)) for i in range(kappa))
     holds = b == 0 and a > 0
     return KeyPropertyReport(spec.name, kappa, holds, a if b == 0 else 0, matrix, a, b, True)
 
@@ -390,19 +387,16 @@ def derive_distinct_diagonal(
     replaces every other edge with a copy of the gadget itself. Each copy
     acts as a near-free coupling while the surviving path re-links the
     dangler colors, so the derived matrix separates a and b again.
-    Refuses when a != b already ("not needed") or when the matrix is not
-    domain invariant or identically zero. interpolation_pipeline builds
-    the same structure itself when it meets a = b != 0.
+    Refuses when a != b already ("not needed") or when the matrix is
+    identically zero. interpolation_pipeline builds the same structure
+    itself when it meets a = b != 0.
     """
     gadget: GadgetGraph = f.gadget if isinstance(f, GadgetSpec) else f
     if len(gadget.dangling) != 2:
         raise PreconditionError("derivation needs exactly 2 dangling edges")
     if not gadget.base.is_connected():
         raise PreconditionError("gadget base is disconnected")
-    dec = decompose_domain_invariant(extension_matrix(gadget, kappa))
-    if dec is None:
-        raise PreconditionError("gadget signature is not domain invariant")
-    a, b = dec
+    a, b = decompose_extension(gadget, kappa)
     if a != b:
         raise PreconditionError(
             "not needed: a=%d differs from b=%d at kappa=%d" % (a, b, kappa)

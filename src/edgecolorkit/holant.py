@@ -1,16 +1,14 @@
 """Binary signatures over the color domain, as small exact integer matrices.
 
-The reductions use only this much of the Holant framework: a gadget's
-extension matrix (computed by the frontier engine in `counting`), its
-domain-invariant decomposition a*I + b*(J - I), the eigenvalues of that
-form, and matrix powers for chains of gadgets in series.
+A gadget's signature a*I + b*(J - I) comes from
+counting.decompose_extension. The reductions use only its eigenvalues
+from here; the matrix helpers let the tests check that a chain of gadgets
+in series has the n-th power of one gadget's matrix.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from .errors import PreconditionError
+from typing import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -42,25 +40,6 @@ def matrix_power(a: Sequence[Sequence[int]], n: int) -> Matrix:
         base = matrix_mul(base, base)
         n >>= 1
     return result
-
-
-def decompose_domain_invariant(
-    matrix: Sequence[Sequence[int]],
-) -> Optional[tuple[int, int]]:
-    """(a, b) when the matrix is a on the diagonal and b off it."""
-    m = tuple(tuple(int(x) for x in row) for row in matrix)
-    k = len(m)
-    if k < 2:
-        raise PreconditionError("domain invariance needs domain size >= 2")
-    if any(len(row) != k for row in m):
-        raise ValueError("matrix must be square")
-    a = m[0][0]
-    b = m[0][1]
-    for i in range(k):
-        for j in range(k):
-            if (m[i][j] != a) if i == j else (m[i][j] != b):
-                return None
-    return a, b
 
 
 def eigenvalues_ab(a: int, b: int, kappa: int) -> tuple[int, int]:

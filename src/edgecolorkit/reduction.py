@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .counting import count_assignments, count_weighted_assignments, extension_matrix
+from .counting import count_assignments, count_weighted_assignments, decompose_extension, extension_matrix
 from .errors import KeyPropertyError, PreconditionError
 from .gadgets import (
     GadgetSpec,
@@ -51,7 +51,7 @@ from .gadgets import (
     verify_key_property,
 )
 from .graphs import EdgeSelector, GadgetGraph, MultiGraph, replace_edges
-from .holant import decompose_domain_invariant, eigenvalues_ab
+from .holant import eigenvalues_ab
 
 
 @dataclass(frozen=True)
@@ -238,9 +238,9 @@ def interpolation_pipeline(
 ) -> StratifiedSystem:
     """Recover count(g, kappa) from chain-replaced instances.
 
-    The gadget matrix must be domain invariant with b != 0. When a = b != 0
-    the pipeline runs once on the gadget derive_distinct_diagonal builds,
-    and the result names the gadget used.
+    The gadget's signature (a, b) from decompose_extension must have
+    b != 0. When a = b != 0 the pipeline runs once on the gadget
+    derive_distinct_diagonal builds, and the result names the gadget used.
 
     The selector fixes the replaced edge set F (default: the parallel
     edges, so simple graphs go through with m = 0 and multigraphs touch
@@ -255,16 +255,11 @@ def interpolation_pipeline(
     if selector is None:
         selector = EdgeSelector.parallel_only()
     gadget, name = _resolve_gadget(spec)
-    dec = decompose_domain_invariant(extension_matrix(gadget, kappa))
-    derived = dec is not None and dec[0] == dec[1] != 0
+    a, b = decompose_extension(gadget, kappa)
+    derived = a == b != 0
     if derived:
         gadget, name = _resolve_gadget(_derived_gadget(spec, kappa))
-        dec = decompose_domain_invariant(extension_matrix(gadget, kappa))
-    if dec is None:
-        raise PreconditionError(
-            "gadget %s is not domain invariant at kappa=%d" % (name, kappa)
-        )
-    a, b = dec
+        a, b = decompose_extension(gadget, kappa)
     if a == b:
         if b == 0:
             raise PreconditionError(
@@ -323,8 +318,11 @@ def cross_validate_omega_n(
     chain = chain_graph(gadget, n)
     expanded, _ = replace_edges(g, chain, selector)
     direct = count_assignments(expanded, kappa)
-    # a gadget's matrix is domain invariant: palette permutations fix it;
-    # one color has no off-diagonal, and b = 0 gives beta_n = 0
-    matrix = extension_matrix(gadget, kappa)
-    weight = _chain_weight(matrix[0][0], matrix[0][1] if kappa > 1 else 0, kappa, n)
+    # one color has no off-diagonal entry: an edge's halves always agree,
+    # so beta_n never counts and b = 0 stands in
+    if kappa > 1:
+        a, b = decompose_extension(gadget, kappa)
+    else:
+        a, b = extension_matrix(gadget, kappa)[0][0], 0
+    weight = _chain_weight(a, b, kappa, n)
     return direct == count_weighted_assignments(g, kappa, selector.select(g), [weight])[0]

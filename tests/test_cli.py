@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from edgecolorkit import MultiGraph, cli, count_assignments, counting, gadgets, parse_graph, reduction
+from edgecolorkit import MultiGraph, cli, count_assignments, counting, parse_graph, reduction
 from edgecolorkit.gadgets import GadgetSpec
 from edgecolorkit.graphs import GadgetGraph
 
@@ -148,6 +148,24 @@ def test_verify_gadget_refuses_hstar_over_the_vertex_cap(capsys, gadget, kappa):
     assert "exceeds the cap of 1000000 vertices" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--kappa", "-1"),
+        ("verify-gadget", "--gadget", "h3", "--kappa", "0"),
+        ("verify-gadget", "--gadget", "fnp:5:3", "--kappa", "0"),
+        ("verify-gadget", "--gadget", "h3", "--kappa", "1"),
+        ("interpolate", "--kappa", "0", "--gadget", "h3"),
+    ],
+)
+def test_out_of_range_kappa_is_a_refusal(capsys, b3_file, argv):
+    if argv[0] != "verify-gadget":
+        argv += ("--input", b3_file)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # reduce
 
@@ -257,10 +275,9 @@ def test_interpolate_computes_each_extension_matrix_once(capsys, monkeypatch, b3
 
     def counted(g, kappa):
         calls.append(g)
-        return counting.extension_matrix(g, kappa)
+        return counting.decompose_extension(g, kappa)
 
-    for module in (gadgets, reduction):
-        monkeypatch.setattr(module, "extension_matrix", counted)
+    monkeypatch.setattr(reduction, "decompose_extension", counted)
     if derive:
         monkeypatch.setattr(cli, "parse_gadget_name", lambda name: _prism_open_spec())
     code, out, _ = run_cli(
@@ -272,7 +289,7 @@ def test_interpolate_computes_each_extension_matrix_once(capsys, monkeypatch, b3
     report = json.loads(out)
     assert report["derived"] is derive and report["check"]["verified"] is True
     assert report["gadget_used"] == ("prism-open-dd" if derive else "h3")
-    # the gadget's matrix, then the derived gadget's when it derives
+    # the gadget's signature, then the derived gadget's when it derives
     assert len(calls) == 1 + derive
     assert len({g.vertex_count for g in calls}) == len(calls)
 

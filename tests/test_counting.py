@@ -215,6 +215,27 @@ def test_decompose_extension_needs_two_colors():
         decompose_extension(build_h3().gadget, 1)
 
 
+def test_extension_matrix_at_one_color_is_its_diagonal_entry():
+    assert extension_matrix(build_h3().gadget, 1) == ((0,),)
+    free = GadgetGraph(MultiGraph(2, []), (0, 1))
+    assert extension_matrix(free, 1) == ((1,),)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: count_assignments(bundle(2), -1),
+        lambda: count_weighted_assignments(bundle(2), -1, [], [(1, 0)]),
+        lambda: count_extensions(build_h3().gadget, 0, (0, 0)),
+        lambda: extension_matrix(build_h3().gadget, 0),
+        lambda: partition_spectrum(bundle(2), -1),
+    ],
+)
+def test_out_of_range_kappa_is_a_precondition_error(call):
+    with pytest.raises(PreconditionError, match="kappa must be"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # the frontier engine
 

@@ -102,6 +102,14 @@ def test_h4_fails_below_native_palette():
     assert report.a == 0 and report.b == 0
 
 
+def test_one_color_has_no_signature_to_check():
+    # one color has no off-diagonal entry, so there is no (a, b) to read
+    with pytest.raises(PreconditionError, match="at least 2 colors"):
+        verify_key_property(build_h3(), 1)
+    with pytest.raises(PreconditionError, match="at least 2 colors"):
+        derive_distinct_diagonal(c4_gadget(), 1)
+
+
 def test_icosahedron_structure():
     g = icosahedron_graph()
     assert g.vertex_count == 12

@@ -1,21 +1,17 @@
-"""Matrix identities, the domain-invariant decomposition and gadget
-placement as an edge weight."""
+"""Matrix identities, the eigenvalues of a*I + b*(J - I), and a gadget's
+signature placed as an edge weight."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from edgecolorkit import (
     EdgeSelector,
-    PreconditionError,
     build_h3,
     count_assignments,
     count_weighted_assignments,
-    decompose_domain_invariant,
+    decompose_extension,
     eigenvalues_ab,
-    extension_matrix,
     matrix_identity,
     matrix_mul,
     matrix_ones,
@@ -36,7 +32,7 @@ def test_place_gadget_matrix_equals_physical_replacement():
     g = bundle(3)
     kappa = 4
     h3 = build_h3().gadget
-    pair = decompose_domain_invariant(extension_matrix(h3, kappa))
+    pair = decompose_extension(h3, kappa)
     expanded, _ = replace_edges(g, h3, EdgeSelector.all_edges())
     assert count_weighted_assignments(g, kappa, range(g.edge_count), [pair]) == [
         count_assignments(expanded, kappa)
@@ -44,7 +40,7 @@ def test_place_gadget_matrix_equals_physical_replacement():
 
 
 # ---------------------------------------------------------------------------
-# matrix helpers and the domain-invariant decomposition
+# matrix helpers and eigenvalues
 
 
 def test_matrix_power_ladder():
@@ -94,26 +90,3 @@ def test_eigenvalues_by_direct_matrix_vector_products():
             vec[pos + 1] = -1
             product = [sum(row[c] * vec[c] for c in range(kappa)) for row in matrix]
             assert product == [lam2 * x for x in vec]
-
-
-def test_decompose_domain_invariant_cases():
-    assert decompose_domain_invariant(((5, 2), (2, 5))) == (5, 2)
-    assert decompose_domain_invariant(((0, 0), (0, 0))) == (0, 0)
-    assert decompose_domain_invariant(((1, 2), (3, 1))) is None
-    assert decompose_domain_invariant(((1, 2), (2, 4))) is None
-    assert decompose_domain_invariant(((7, 0, 0), (0, 7, 0), (0, 0, 7))) == (7, 0)
-    with pytest.raises(PreconditionError, match="domain size >= 2"):
-        decompose_domain_invariant(((3,),))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=6),
-    st.integers(min_value=-9, max_value=9),
-    st.integers(min_value=-9, max_value=9),
-)
-def test_decompose_round_trips_constructed_matrices(kappa, a, b):
-    matrix = tuple(
-        tuple(a if r == c else b for c in range(kappa)) for r in range(kappa)
-    )
-    assert decompose_domain_invariant(matrix) == (a, b)

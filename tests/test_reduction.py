@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from edgecolorkit import reduction
 from edgecolorkit import (
     EdgeSelector,
+    GadgetGraph,
     KeyPropertyError,
     MultiGraph,
     PreconditionError,
@@ -326,6 +327,20 @@ def test_cross_validate_spec_and_derived():
 def test_cross_validate_all_edges_on_cycle():
     sel = EdgeSelector.all_edges()
     assert cross_validate_omega_n(cycle(3), 4, build_h3(), sel, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("gadget", ["h3", "two free danglers"])
+def test_cross_validate_at_one_color(gadget, n):
+    # h3 has no 1-coloring; two danglers on isolated vertices have one
+    g = build_h3().gadget if gadget == "h3" else GadgetGraph(MultiGraph(2, []), (0, 1))
+    edge = MultiGraph(2, [(0, 1)])
+    assert cross_validate_omega_n(edge, 1, g, EdgeSelector.all_edges(), n)
+
+
+def test_pipeline_refuses_one_color():
+    with pytest.raises(PreconditionError, match="at least 2 colors"):
+        interpolation_pipeline(bundle(2), 1, build_h3())
 
 
 def test_cross_validate_length_cap():
