@@ -16,9 +16,11 @@ counted as (alpha - beta)[same] + beta[any]: [same] is the ordinary step
 and [any] two one-slot steps, one per half, all on the one step kernel,
 which keeps that symmetry. One layer is live at a time and nothing
 recurses. The cost follows the frontier width, so the order is the cheapest
-of four candidates (two greedy, two breadth-first), each scored by a
-cost-only pass before the winner's steps are built. The perfect-matching
-decomposition below is an independent route.
+of three candidates (one greedy, two breadth-first), or of five when all
+three peak above three frontier slots (a tie-broken greedy one and a
+frontier-growing vertex order join), each scored by a cost-only pass before
+the winner's steps are built. The perfect-matching decomposition below is
+an independent route.
 """
 
 from __future__ import annotations
@@ -69,6 +71,16 @@ def _greedy_order(edges, inc, tie=None) -> list[int]:
     return order
 
 
+def _by_visit(edges, n, visited) -> list[int]:
+    """Edge indices ordered by the position in visited of their later end,
+    then of their earlier end."""
+    pos = [0] * n
+    for i, v in enumerate(visited):
+        pos[v] = i
+    keys = [pos[u] * n + pos[v] if pos[u] > pos[v] else pos[v] * n + pos[u] for u, v in edges]
+    return sorted(range(len(edges)), key=keys.__getitem__)
+
+
 def _bfs_order(edges, inc, starts) -> tuple[list[int], int]:
     """Edges in breadth-first order, and the last vertex visited. The
     search starts at starts[0], each further component at its first vertex
@@ -86,12 +98,64 @@ def _bfs_order(edges, inc, starts) -> tuple[list[int], int]:
                         seen[w] = True
                         component.append(w)
             visited += component
+    return _by_visit(edges, len(inc), visited), visited[-1]
+
+
+def _frontier_order(edges, inc, starts) -> list[int]:
+    """Edges along a vertex sequence grown to keep its frontier narrow.
+
+    A visited vertex is open while it has unvisited neighbours. The
+    sequence starts at starts[0], and each next vertex is the unvisited
+    neighbour of the sequence that opens the fewest vertices net of those
+    it closes; ties go to the most visited neighbours, then the earliest
+    attached, then the smallest id. A further component starts at its first
+    vertex in starts. Edges follow the sequence as in _bfs_order.
+
+    A key changes only at a visit next door, so the heap gets a fresh entry
+    then and skips an entry that differs from the vertex's stored key:
+    O(E log V) in all."""
     n = len(inc)
-    pos = [0] * n
-    for i, v in enumerate(visited):
-        pos[v] = i
-    keys = [pos[u] * n + pos[v] if pos[u] > pos[v] else pos[v] * n + pos[u] for u, v in edges]
-    return sorted(range(len(edges)), key=keys.__getitem__), visited[-1]
+    nbrs = [list({edges[f][0] + edges[f][1] - v for f in inc[v]}) for v in range(n)]
+    unvisited = [len(x) for x in nbrs]  # unvisited neighbours of each vertex
+    closes = [0] * n  # visited neighbours whose last unvisited one it is
+    links = [0] * n  # visited neighbours
+    attach = [0] * n  # the step that first made it a neighbour of the sequence
+    keys: list = [None] * n
+    seen = [False] * n
+    heap: list = []
+    visited: list[int] = []
+    fresh = iter(starts)
+    while len(visited) < len(starts):
+        v = None
+        while heap:
+            k = heapq.heappop(heap)
+            if keys[k[3]] == k:
+                v = k[3]
+                break
+        if v is None:
+            v = next(w for w in fresh if not seen[w])
+        seen[v] = True
+        keys[v] = None
+        visited.append(v)
+        touched = set()
+        for w in nbrs[v]:
+            unvisited[w] -= 1
+            if not seen[w]:
+                if not links[w]:
+                    attach[w] = len(visited)
+                links[w] += 1
+                touched.add(w)
+        # v, or a visited neighbour, now left with one unvisited neighbour
+        # closes when that one is visited
+        for u in [v] + nbrs[v]:
+            if seen[u] and unvisited[u] == 1:
+                z = next(w for w in nbrs[u] if not seen[w])
+                closes[z] += 1
+                touched.add(z)
+        for w in touched:
+            keys[w] = ((unvisited[w] > 0) - closes[w], -links[w], attach[w], w)
+            heapq.heappush(heap, keys[w])
+    return _by_visit(edges, n, visited)
 
 
 def _plan(edges, inc, order, pinned, weighted=frozenset()):
@@ -152,20 +216,29 @@ def _cost(edges, inc, order, pinned):
     return peak, total
 
 
+# Up to this many frontier slots the engine holds a handful of states per
+# layer, so no further order can save what scoring it costs.
+_NARROW_FRONTIER = 3
+
+
 def _best_plan(edges, inc, pinned=(), weighted=frozenset()):
-    """The cost and _plan of the cheapest of four candidate orders: the
-    greedy order, a breadth-first order from a minimum-degree vertex, one
-    restarted from where that search ended, and the greedy order with ties
-    broken by position in the restarted one. Each candidate is scored by
-    _cost alone and only the winner's steps are built; on a tie the
-    earlier candidate is kept."""
+    """The cost and _plan of the cheapest candidate order. Three always
+    run: the greedy order, a breadth-first order from a minimum-degree
+    vertex, and one restarted from where that search ended. When the best
+    of them peaks above _NARROW_FRONTIER slots, two more run: the greedy
+    order with ties broken by position in the restarted one, and
+    _frontier_order. Each candidate is scored by _cost alone and only the
+    winner's steps are built; on a tie the earlier candidate is kept."""
     orders = [_greedy_order(edges, inc)]
     starts = sorted((w for w in range(len(inc)) if inc[w]), key=lambda w: len(inc[w]))
     if starts:
         order, last = _bfs_order(edges, inc, starts)
-        restart = _bfs_order(edges, inc, [last] + starts)[0]
-        orders += [order, restart, _greedy_order(edges, inc, restart)]
+        orders += [order, _bfs_order(edges, inc, [last] + starts)[0]]
     costs = [_cost(edges, inc, order, pinned) for order in orders]
+    if min(costs)[0] > _NARROW_FRONTIER:  # so there are edges, and starts
+        more = [_greedy_order(edges, inc, orders[2]), _frontier_order(edges, inc, starts)]
+        orders += more
+        costs += [_cost(edges, inc, order, pinned) for order in more]
     best = costs.index(min(costs))
     return (costs[best], *_plan(edges, inc, orders[best], pinned, weighted))
 

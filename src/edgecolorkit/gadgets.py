@@ -150,8 +150,9 @@ def build_matchings(kappa: int, n: Optional[int] = None) -> tuple[tuple[tuple[in
     forward in jumps of 2l around the cycle Z_n; an odd kappa adds the
     diameter matching {(j, j + n/2)}. Requires n even, 2l | n for every l,
     and n/2 >= kappa (which keeps the union simple). Default n = kappa!.
-    n may not exceed MAX_MATCHING_VERTICES; the cap is checked before any
-    list is built, so kappa >= 10 needs an explicit n.
+    n may not exceed MAX_MATCHING_VERTICES, nor the kappa*n/2 edges of the
+    union; both caps are checked before any list is built, so kappa >= 9
+    needs an explicit n.
 
     Each matching is validated to cover every vertex exactly once and the
     union is validated edge-disjoint; a collision names the offending pair.
@@ -169,6 +170,11 @@ def build_matchings(kappa: int, n: Optional[int] = None) -> tuple[tuple[tuple[in
         raise PreconditionError(
             "vertex count n=%d exceeds the cap of %d vertices"
             % (n, MAX_MATCHING_VERTICES)
+        )
+    if kappa * n // 2 > MAX_MATCHING_VERTICES:
+        raise PreconditionError(
+            "edge count kappa*n/2=%d exceeds the cap of %d edges"
+            % (kappa * n // 2, MAX_MATCHING_VERTICES)
         )
     if n <= 0 or n % 2:
         raise PreconditionError("vertex count n=%d must be even and positive" % n)

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,18 @@ def test_verify_gadget_refuses_hstar_over_the_vertex_cap(capsys, gadget, kappa):
     )
     assert code == 3 and out == ""
     assert "exceeds the cap of 1000000 vertices" in err
+
+
+def test_verify_gadget_refuses_hstar_over_the_edge_cap(capsys):
+    # 997,920 vertices pass the vertex cap, but the union would have
+    # 20 * 997,920 / 2 = 9,979,200 edges
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "verify-gadget", "--gadget", "hstar:20:997920", "--kappa", "20"
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 3 and out == ""
+    assert "exceeds the cap of 1000000 edges" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

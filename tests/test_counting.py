@@ -13,6 +13,7 @@ from edgecolorkit import (
     PreconditionError,
     build_h3,
     build_h4,
+    build_h_star,
     count_assignments,
     count_by_matching_decomposition,
     count_extensions,
@@ -29,6 +30,7 @@ from edgecolorkit.counting import (
     _bfs_order,
     _cost,
     _count_partitions_capped,
+    _frontier_order,
     _greedy_order,
     _plan,
     decompose_extension,
@@ -376,6 +378,57 @@ def test_greedy_order_heap_matches_rescan():
             assert _greedy_order(g.edges, inc, tie) == _greedy_order_by_rescan(g.edges, inc, tie)
 
 
+def _frontier_order_by_rescan(edges, inc, starts):
+    """The frontier-growing order by a full rescan of the candidates per
+    visit, with each key recounted from scratch."""
+    nbrs = [{a + b - v for a, b in (edges[f] for f in inc[v])} for v in range(len(inc))]
+    pos = {}
+    attach = {}
+
+    def key(w):
+        opens = any(x not in pos for x in nbrs[w])
+        closes = sum(u in pos and nbrs[u] - pos.keys() == {w} for u in nbrs[w])
+        links = sum(u in pos for u in nbrs[w])
+        return (opens - closes, -links, attach[w], w)
+
+    while len(pos) < len(starts):
+        candidates = [w for w in attach if w not in pos]
+        v = min(candidates, key=key) if candidates else next(w for w in starts if w not in pos)
+        pos[v] = len(pos)
+        for w in nbrs[v]:
+            attach.setdefault(w, len(pos))
+    return sorted(
+        range(len(edges)),
+        key=lambda e: (max(pos[x] for x in edges[e]), min(pos[x] for x in edges[e]), e),
+    )
+
+
+def _starts(inc):
+    return sorted((w for w in range(len(inc)) if inc[w]), key=lambda w: len(inc[w]))
+
+
+def test_frontier_order_heap_matches_rescan():
+    rng = random.Random(2031)
+    two_parts = MultiGraph(9, [(0, 1), (0, 1), (1, 2), (4, 5), (5, 6), (6, 4), (6, 7), (6, 7)])
+    graphs = [two_parts, ladder_ring(12), bundle(5), star(6), petersen(), MultiGraph(3, ())]
+    for _ in range(200):
+        graphs.append(_shuffled_multigraph(rng, rng.randint(2, 14), rng.randint(0, 30)))
+    for g in graphs:
+        inc = g.incidence_lists()
+        order = _frontier_order(g.edges, inc, _starts(inc))
+        assert sorted(order) == list(range(len(g.edges)))
+        assert order == _frontier_order_by_rescan(g.edges, inc, _starts(inc))
+        assert order == _frontier_order(g.edges, inc, _starts(inc))
+
+
+def test_frontier_order_plans_long_graphs_without_recursion():
+    for g in (path(1500), simplify_equal_case(ladder_ring(200), 3, build_h3())[0]):
+        inc = g.incidence_lists()
+        order = _frontier_order(g.edges, inc, _starts(inc))
+        assert sorted(order) == list(range(len(g.edges)))
+        _best_plan(g.edges, inc)
+
+
 # The planner before the fourth candidate and the cost-only scoring, kept
 # as the reference the current one must never lose to. _reference_best_plan
 # is the old _best_plan verbatim but for names; the old heap greedy order
@@ -522,6 +575,16 @@ def test_spliced_prism_order_is_narrow(n):
     greedy, chosen, kept_greedy = _widths(ladder_ring(n), build_h3())
     assert greedy == 2 * n
     assert chosen <= 7 and not kept_greedy
+
+
+def test_spliced_prism_with_matchings_union_is_narrow():
+    # The frontier-growing order; the other candidates peak at 13 here.
+    spliced, cert = simplify_equal_case(ladder_ring(6), 3, build_h_star(3))
+    inc = spliced.incidence_lists()
+    assert _best_plan(spliced.edges, inc)[0][0] <= 8
+    assert count_assignments(spliced, 3) == (
+        cert.predicted_factor() * count_assignments(ladder_ring(6), 3)
+    )
 
 
 def test_spliced_octahedron_keeps_greedy_order():

@@ -205,6 +205,12 @@ def test_matchings_refuse_more_vertices_than_the_cap(kappa, n):
         build_matchings(kappa, n)
 
 
+@pytest.mark.parametrize("kappa, n", [(9, None), (20, 997920)])
+def test_matchings_refuse_more_edges_than_the_cap(kappa, n):
+    with pytest.raises(PreconditionError, match="exceeds the cap of 1000000 edges"):
+        build_matchings(kappa, n)
+
+
 def test_h_star_structure_and_key_property():
     spec = build_h_star(3, 6)
     assert spec.name == "hstar:3:6"
