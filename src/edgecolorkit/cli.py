@@ -32,7 +32,7 @@ from .counting import (
 )
 from .errors import KeyPropertyError, ParseError, PreconditionError
 from .gadgets import GadgetError, parse_gadget_name, verify_key_property
-from .graphs import EdgeSelector, GadgetGraph, MultiGraph, parse_graph, render_graph
+from .graphs import GadgetGraph, MultiGraph, parse_graph, render_graph
 from .reduction import (
     interpolation_pipeline,
     recount_certificate,
@@ -150,10 +150,8 @@ def cmd_reduce(args) -> tuple[dict, int]:
 
 def cmd_interpolate(args) -> tuple[dict, int]:
     g, digest = _load_multigraph(args.input)
-    selector = (
-        EdgeSelector.all_edges() if args.selector == "all" else EdgeSelector.parallel_only()
-    )
-    system = interpolation_pipeline(g, args.kappa, parse_gadget_name(args.gadget), selector)
+    selected = range(g.edge_count) if args.selector == "all" else None
+    system = interpolation_pipeline(g, args.kappa, parse_gadget_name(args.gadget), selected)
     report = {
         "columns": [_dec(v) for v in system.column_values],
         "command": "interpolate",

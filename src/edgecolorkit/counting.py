@@ -33,6 +33,10 @@ from typing import Sequence
 from .errors import PreconditionError
 from .graphs import GadgetGraph, MultiGraph
 
+# A state holds one pattern per color, and a matrix view kappa^2 entries.
+MAX_KAPPA = 10**6
+MAX_MATRIX_KAPPA = 1000
+
 
 def _greedy_order(edges, inc, tie=None) -> list[int]:
     """At each step the edge opening the fewest new vertices net of the
@@ -287,6 +291,13 @@ def _run(steps, start: tuple[int, ...], lift: int = 1) -> int:
     return sum(layer.values())
 
 
+def _idle(kappa: int) -> list[int]:
+    """The start state's patterns: one empty pattern per color."""
+    if kappa > MAX_KAPPA:
+        raise PreconditionError("kappa=%d exceeds the cap of %d colors" % (kappa, MAX_KAPPA))
+    return [0] * kappa
+
+
 def _counts(g: MultiGraph, jobs, dangling=()) -> list[int]:
     """Colorings of g with the given danglers for each (kappa, boundary)
     job, from one plan; each job is one engine run from its own pinned
@@ -304,7 +315,7 @@ def _counts(g: MultiGraph, jobs, dangling=()) -> list[int]:
         if plan is None:
             plan = _best_plan(g.edges, inc, dangling)
         _, steps, pins = plan
-        pats = [0] * kappa
+        pats = _idle(kappa)
         for v, c in zip(dangling, boundary):
             if v in pins:
                 pats[c] |= 1 << pins[v]
@@ -334,15 +345,13 @@ def count_weighted_assignments(
     color and beta when they differ. Every other edge is an ordinary edge.
     This is the Holant of g with the binary signature alpha*I + beta*(J - I)
     placed on each selected edge, and (1, 0) gives count_assignments. All
-    weights share one plan.
+    weights share one plan. selected is checked by g.edge_indices.
     """
     if isinstance(g, GadgetGraph):
         raise PreconditionError("gadget graphs are counted via count_extensions")
     if kappa < 0:
         raise PreconditionError("kappa must be nonnegative")
-    selected = frozenset(selected)
-    if not selected <= frozenset(range(len(g.edges))):
-        raise PreconditionError("selected edge index out of range")
+    selected = frozenset(g.edge_indices(selected))
     inc = g.incidence_lists()
     if kappa < max(map(len, inc), default=0):
         return [0] * len(weights)
@@ -355,7 +364,7 @@ def count_weighted_assignments(
     # M_j <= C(m, j) kappa^(E + m - j) <= 2^m kappa^(E + m) < 2^shift.
     m = len(selected)
     shift = (len(g.edges) + m) * kappa.bit_length() + m + 1
-    packed = _run(steps, (0,) * kappa, 1 << shift)
+    packed = _run(steps, tuple(_idle(kappa)), 1 << shift)
     strata = [packed >> (j * shift) & ((1 << shift) - 1) for j in range(m + 1)]
     return [
         sum(n * (int(a) - int(b)) ** j * int(b) ** (m - j) for j, n in enumerate(strata))
@@ -397,6 +406,10 @@ def extension_matrix(g: GadgetGraph, kappa: int) -> tuple[tuple[int, ...], ...]:
         raise PreconditionError("extension_matrix needs exactly 2 dangling edges")
     if kappa < 1:
         raise PreconditionError("kappa must be positive")
+    if kappa > MAX_MATRIX_KAPPA:
+        raise PreconditionError(
+            "kappa=%d exceeds the cap of %d colors for a matrix" % (kappa, MAX_MATRIX_KAPPA)
+        )
     if kappa == 1:
         return ((count_extensions(g, 1, (0, 0)),),)
     a, b = decompose_extension(g, kappa)

@@ -16,9 +16,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .counting import decompose_extension
+from .counting import MAX_MATRIX_KAPPA, decompose_extension
 from .errors import ParseError, PreconditionError
-from .graphs import EdgeSelector, GadgetGraph, MultiGraph, replace_edges
+from .graphs import MAX_VERTICES, GadgetGraph, MultiGraph, replace_edges
 from .holant import Matrix
 
 
@@ -78,7 +78,12 @@ class KeyPropertyReport:
 def verify_key_property(spec: GadgetSpec, kappa: int) -> KeyPropertyReport:
     """Test the c * I shape on the signature (a, b) from
     decompose_extension, which needs kappa >= 2; the report carries the
-    matrix a*I + b*(J - I) it stands for."""
+    matrix a*I + b*(J - I) it stands for, and is refused above
+    MAX_MATRIX_KAPPA colors before any engine run."""
+    if kappa > MAX_MATRIX_KAPPA:
+        raise PreconditionError(
+            "kappa=%d exceeds the cap of %d colors for a matrix" % (kappa, MAX_MATRIX_KAPPA)
+        )
     a, b = decompose_extension(spec.gadget, kappa)
     matrix = tuple(tuple(a if i == j else b for j in range(kappa)) for i in range(kappa))
     holds = b == 0 and a > 0
@@ -139,9 +144,6 @@ def build_h5_icosahedron() -> GadgetSpec:
     return GadgetSpec("h5", 5, 5, True, GadgetGraph(base, (0, 1)))
 
 
-MAX_MATCHING_VERTICES = 10**6
-
-
 def build_matchings(kappa: int, n: Optional[int] = None) -> tuple[tuple[tuple[int, int], ...], ...]:
     """kappa pairwise disjoint perfect matchings on vertices 0..n-1.
 
@@ -150,7 +152,7 @@ def build_matchings(kappa: int, n: Optional[int] = None) -> tuple[tuple[tuple[in
     forward in jumps of 2l around the cycle Z_n; an odd kappa adds the
     diameter matching {(j, j + n/2)}. Requires n even, 2l | n for every l,
     and n/2 >= kappa (which keeps the union simple). Default n = kappa!.
-    n may not exceed MAX_MATCHING_VERTICES, nor the kappa*n/2 edges of the
+    n may not exceed MAX_VERTICES, nor the kappa*n/2 edges of the
     union; both caps are checked before any list is built, so kappa >= 9
     needs an explicit n.
 
@@ -163,18 +165,18 @@ def build_matchings(kappa: int, n: Optional[int] = None) -> tuple[tuple[tuple[in
         if kappa >= 10:  # 10! = 3,628,800; do not even build the factorial
             raise PreconditionError(
                 "default vertex count %d! exceeds the cap of %d vertices"
-                % (kappa, MAX_MATCHING_VERTICES)
+                % (kappa, MAX_VERTICES)
             )
         n = math.factorial(kappa)
-    if n > MAX_MATCHING_VERTICES:
+    if n > MAX_VERTICES:
         raise PreconditionError(
             "vertex count n=%d exceeds the cap of %d vertices"
-            % (n, MAX_MATCHING_VERTICES)
+            % (n, MAX_VERTICES)
         )
-    if kappa * n // 2 > MAX_MATCHING_VERTICES:
+    if kappa * n // 2 > MAX_VERTICES:
         raise PreconditionError(
             "edge count kappa*n/2=%d exceeds the cap of %d edges"
-            % (kappa * n // 2, MAX_MATCHING_VERTICES)
+            % (kappa * n // 2, MAX_VERTICES)
         )
     if n <= 0 or n % 2:
         raise PreconditionError("vertex count n=%d must be even and positive" % n)
@@ -423,7 +425,7 @@ def _derived_gadget(f, kappa):
     s, t = gadget.dangling
     path_edges = set(_lex_shortest_path_edges(gadget.base, s, t))
     others = [i for i in range(len(gadget.base.edges)) if i not in path_edges]
-    new_base, _ = replace_edges(gadget.base, gadget, EdgeSelector.explicit(others))
+    new_base, _ = replace_edges(gadget.base, gadget, others)
     derived = GadgetGraph(new_base, gadget.dangling)
     if not is_spec:
         return derived

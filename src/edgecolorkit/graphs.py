@@ -23,6 +23,10 @@ from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, PreconditionError
 
+# The most vertices a parsed graph may have; hstar caps its vertices and
+# its edges at the same number.
+MAX_VERTICES = 10**6
+
 
 @dataclass(frozen=True)
 class MultiGraph:
@@ -97,6 +101,17 @@ class MultiGraph:
             by_pair.setdefault(e, []).append(i)
         out = [i for grp in by_pair.values() if len(grp) > 1 for i in grp]
         return tuple(sorted(out))
+
+    def edge_indices(self, selected: Iterable[int]) -> tuple[int, ...]:
+        """The selected edge indices, sorted; an index out of range or
+        listed twice is refused."""
+        out = sorted(int(i) for i in selected)
+        for k, i in enumerate(out):
+            if not (0 <= i < len(self.edges)):
+                raise PreconditionError("edge index %d out of range" % i)
+            if k and out[k - 1] == i:
+                raise PreconditionError("edge index %d selected twice" % i)
+        return tuple(out)
 
     def has_bridge(self) -> bool:
         """True iff removing some single edge disconnects its component.
@@ -216,6 +231,11 @@ def parse_graph(text: str) -> Union[MultiGraph, GadgetGraph]:
                 raise ParseError("line %d: duplicate v directive" % lineno)
             if len(args) != 1 or args[0] < 0:
                 raise ParseError("line %d: v takes one nonnegative count" % lineno)
+            if args[0] > MAX_VERTICES:
+                raise PreconditionError(
+                    "line %d: vertex count %d exceeds the cap of %d vertices"
+                    % (lineno, args[0], MAX_VERTICES)
+                )
             vertex_count = args[0]
         elif tag == "e":
             if vertex_count is None:
@@ -251,48 +271,6 @@ def render_graph(g: Union[MultiGraph, GadgetGraph]) -> str:
 
 
 @dataclass(frozen=True)
-class EdgeSelector:
-    """Selects edge indices of a graph: all, parallel-only, or explicit."""
-
-    mode: str
-    indices: tuple[int, ...] = ()
-
-    ALL = "all"
-    PARALLEL = "parallel"
-    EXPLICIT = "explicit"
-
-    def __post_init__(self):
-        if self.mode not in (self.ALL, self.PARALLEL, self.EXPLICIT):
-            raise ValueError("unknown selector mode %r" % self.mode)
-
-    @classmethod
-    def all_edges(cls) -> "EdgeSelector":
-        return cls(cls.ALL)
-
-    @classmethod
-    def parallel_only(cls) -> "EdgeSelector":
-        return cls(cls.PARALLEL)
-
-    @classmethod
-    def explicit(cls, indices: Iterable[int]) -> "EdgeSelector":
-        return cls(cls.EXPLICIT, tuple(int(i) for i in indices))
-
-    def select(self, g: MultiGraph) -> tuple[int, ...]:
-        if self.mode == self.ALL:
-            return tuple(range(len(g.edges)))
-        if self.mode == self.PARALLEL:
-            return g.parallel_edge_indices()
-        seen = set()
-        for i in self.indices:
-            if not (0 <= i < len(g.edges)):
-                raise PreconditionError("edge index %d out of range" % i)
-            if i in seen:
-                raise PreconditionError("edge index %d selected twice" % i)
-            seen.add(i)
-        return tuple(sorted(self.indices))
-
-
-@dataclass(frozen=True)
 class ReplacedBlock:
     """Where one replaced edge went: the inserted copy's vertex offset, the
     two connector edge indices, and the indices of the copied base edges."""
@@ -304,9 +282,10 @@ class ReplacedBlock:
 
 
 def replace_edges(
-    g: MultiGraph, gadget: GadgetGraph, selector: EdgeSelector
+    g: MultiGraph, gadget: GadgetGraph, selected: Iterable[int]
 ) -> tuple[MultiGraph, dict[int, ReplacedBlock]]:
-    """Replace each selected edge (u, v) with a fresh copy of the gadget.
+    """Replace each edge (u, v) whose index is in selected with a fresh copy
+    of the gadget; g.edge_indices checks the indices.
 
     The edge is removed; the copy's base is inserted on a new vertex block;
     the copy's first dangling attachment is joined to u and its second to v.
@@ -319,14 +298,13 @@ def replace_edges(
             "replacement gadget must have exactly 2 dangling edges, got %d"
             % len(gadget.dangling)
         )
-    selected = set(selector.select(g))
-    new_edges: list[tuple[int, int]] = [
-        e for i, e in enumerate(g.edges) if i not in selected
-    ]
+    selected = g.edge_indices(selected)
+    skip = set(selected)
+    new_edges: list[tuple[int, int]] = [e for i, e in enumerate(g.edges) if i not in skip]
     blocks: dict[int, ReplacedBlock] = {}
     offset = g.vertex_count
     a1, a2 = gadget.dangling
-    for s in sorted(selected):
+    for s in selected:
         u, v = g.edges[s]
         entry_idx = len(new_edges)
         new_edges.append((u, offset + a1))

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .counting import count_assignments, count_weighted_assignments, decompose_extension, extension_matrix
 from .errors import KeyPropertyError, PreconditionError
@@ -50,7 +50,7 @@ from .gadgets import (
     chain_graph,
     verify_key_property,
 )
-from .graphs import EdgeSelector, GadgetGraph, MultiGraph, replace_edges
+from .graphs import GadgetGraph, MultiGraph, replace_edges
 from .holant import eigenvalues_ab
 
 
@@ -95,7 +95,7 @@ def simplify_equal_case(
             "input graph is not %d-regular (degrees %s)"
             % (spec.r, sorted(set(g.degrees())))
         )
-    g_prime, _ = replace_edges(g, spec.gadget, EdgeSelector.all_edges())
+    g_prime, _ = replace_edges(g, spec.gadget, range(g.edge_count))
     cert = ReductionCertificate(spec.name, kappa, spec.r, report.c, g.edge_count)
     return g_prime, cert
 
@@ -234,7 +234,7 @@ def interpolation_pipeline(
     g: MultiGraph,
     kappa: int,
     spec: Union[GadgetSpec, GadgetGraph],
-    selector: Optional[EdgeSelector] = None,
+    selected: Optional[Iterable[int]] = None,
 ) -> StratifiedSystem:
     """Recover count(g, kappa) from chain-replaced instances.
 
@@ -242,18 +242,17 @@ def interpolation_pipeline(
     b != 0. When a = b != 0 the pipeline runs once on the gadget
     derive_distinct_diagonal builds, and the result names the gadget used.
 
-    The selector fixes the replaced edge set F (default: the parallel
-    edges, so simple graphs go through with m = 0 and multigraphs touch
-    only what they must). Each row n is the Holant of g with the gadget
-    chain's matrix A^n placed on F, which counts colorings of the
-    n-chain-replaced graph without building it: a weighted count on the
-    frontier engine, with the closed-form weight (alpha_n, beta_n) of A^n
-    on each edge of F, all rows from one plan. solve_vandermonde solves the
-    rows by Björck and Pereyra's algorithm and substitutes the solution
-    back into every equation.
+    selected lists the indices of the replaced edge set F, checked by
+    g.edge_indices (None: the parallel edges, so simple graphs go through
+    with m = 0 and multigraphs touch only what they must). Each row n is
+    the Holant of g with the gadget chain's matrix A^n placed on F, which
+    counts colorings of the n-chain-replaced graph without building it: a
+    weighted count on the frontier engine, with the closed-form weight
+    (alpha_n, beta_n) of A^n on each edge of F, all rows from one plan.
+    solve_vandermonde solves the rows by Björck and Pereyra's algorithm
+    and substitutes the solution back into every equation.
     """
-    if selector is None:
-        selector = EdgeSelector.parallel_only()
+    selected = g.parallel_edge_indices() if selected is None else g.edge_indices(selected)
     gadget, name = _resolve_gadget(spec)
     a, b = decompose_extension(gadget, kappa)
     derived = a == b != 0
@@ -281,7 +280,6 @@ def interpolation_pipeline(
             "internal: expected lambda1 > |lambda2| from a nonnegative matrix"
             " with b > 0 (got %d, %d)" % (lam1, lam2)
         )
-    selected = selector.select(g)
     m = len(selected)
     columns = tuple(lam1 ** i * lam2 ** (m - i) for i in range(m + 1))
     if len(set(columns)) != len(columns):
@@ -303,20 +301,22 @@ def cross_validate_omega_n(
     g: MultiGraph,
     kappa: int,
     spec: Union[GadgetSpec, GadgetGraph],
-    selector: EdgeSelector,
+    selected: Iterable[int],
     n: int,
 ) -> bool:
-    """Check one interpolation row the slow way: build the n-chain-replaced
-    graph explicitly, with every gadget copy inlined as real vertices, and
-    count its colorings directly. Guards the shortcut the pipeline relies
-    on: the weighted count with A^n's entries (alpha_n, beta_n) on the
-    selected edges, from the closed form the pipeline's rows use. The
-    expanded instance grows with n, so n is capped at 2."""
+    """Check one interpolation row the slow way: build the graph with an
+    n-chain on each edge whose index is in selected, every gadget copy
+    inlined as real vertices, and count its colorings directly. Guards the
+    shortcut the pipeline relies on: the weighted count with A^n's entries
+    (alpha_n, beta_n) on the selected edges, from the closed form the
+    pipeline's rows use. The expanded instance grows with n, so n is
+    capped at 2."""
     if not (1 <= n <= 2):
         raise PreconditionError("direct cross-validation is capped at n <= 2")
     gadget, _ = _resolve_gadget(spec)
     chain = chain_graph(gadget, n)
-    expanded, _ = replace_edges(g, chain, selector)
+    selected = g.edge_indices(selected)
+    expanded, _ = replace_edges(g, chain, selected)
     direct = count_assignments(expanded, kappa)
     # one color has no off-diagonal entry: an edge's halves always agree,
     # so beta_n never counts and b = 0 stands in
@@ -325,4 +325,4 @@ def cross_validate_omega_n(
     else:
         a, b = extension_matrix(gadget, kappa)[0][0], 0
     weight = _chain_weight(a, b, kappa, n)
-    return direct == count_weighted_assignments(g, kappa, selector.select(g), [weight])[0]
+    return direct == count_weighted_assignments(g, kappa, selected, [weight])[0]

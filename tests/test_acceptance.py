@@ -12,7 +12,6 @@ import time
 
 from edgecolorkit import (
     CnfFormula,
-    EdgeSelector,
     MultiGraph,
     build_f_nonplanar,
     build_h3,
@@ -183,10 +182,10 @@ def test_criterion_05_interpolation_recovery(capsys):
             system = interpolation_pipeline(b3, kappa, h3)
             assert system.recovered == expected
             assert count_assignments(b3, kappa) == expected
-        selector = EdgeSelector.parallel_only()
+        selected = b3.parallel_edge_indices()
         for kappa in (4, 5):
             for n in (1, 2):
-                assert cross_validate_omega_n(b3, kappa, h3, selector, n)
+                assert cross_validate_omega_n(b3, kappa, h3, selected, n)
 
     run_criterion(capsys, 5, "interpolation recovery", 60, body)
 

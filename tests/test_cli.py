@@ -169,6 +169,10 @@ def test_verify_gadget_refuses_hstar_over_the_edge_cap(capsys):
         ("verify-gadget", "--gadget", "fnp:5:3", "--kappa", "0"),
         ("verify-gadget", "--gadget", "h3", "--kappa", "1"),
         ("interpolate", "--kappa", "0", "--gadget", "h3"),
+        # a state of kappa patterns, a kappa x kappa matrix: refused, not built
+        ("count", "--kappa", "1000000000"),
+        ("verify-gadget", "--gadget", "h3", "--kappa", "100000"),
+        ("interpolate", "--kappa", "1000000000", "--gadget", "h3"),
     ],
 )
 def test_out_of_range_kappa_is_a_refusal(capsys, b3_file, argv):
@@ -474,6 +478,14 @@ def test_missing_input_file_is_an_input_error(capsys):
     code, _, err = run_cli(capsys, "count", "--input", "/nonexistent.txt", "--kappa", "3")
     assert code == 2
     assert "error:" in err
+
+
+def test_vertex_count_over_the_cap_is_a_refusal(capsys, tmp_path):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("v 1000000000000\ne 0 1\n")
+    code, out, err = run_cli(capsys, "count", "--input", str(huge), "--kappa", "3")
+    assert code == 3 and out == ""
+    assert err.startswith("error: line 1: vertex count") and err.count("\n") == 1
 
 
 def test_malformed_graph_is_an_input_error(capsys, tmp_path):

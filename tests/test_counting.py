@@ -24,8 +24,11 @@ from edgecolorkit import (
     parse_gadget_name,
     partition_spectrum,
     simplify_equal_case,
+    verify_key_property,
 )
 from edgecolorkit.counting import (
+    MAX_KAPPA,
+    MAX_MATRIX_KAPPA,
     _best_plan,
     _bfs_order,
     _cost,
@@ -238,6 +241,23 @@ def test_out_of_range_kappa_is_a_precondition_error(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: count_assignments(bundle(2), MAX_KAPPA + 1),
+        lambda: count_weighted_assignments(bundle(2), MAX_KAPPA + 1, [0], [(1, 0)]),
+        lambda: count_extensions(build_h3().gadget, MAX_KAPPA + 1, (0, 0)),
+        lambda: decompose_extension(build_h3().gadget, MAX_KAPPA + 1),
+        lambda: extension_matrix(build_h3().gadget, MAX_MATRIX_KAPPA + 1),
+        lambda: verify_key_property(build_h3(), MAX_MATRIX_KAPPA + 1),
+    ],
+)
+def test_kappa_over_the_cap_is_refused_before_building(call):
+    # a start state holds kappa patterns and a matrix kappa^2 entries
+    with pytest.raises(PreconditionError, match="exceeds the cap of"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # the frontier engine
 
@@ -292,6 +312,8 @@ def test_weighted_count_matches_oracle(data):
 def test_weighted_count_validation():
     with pytest.raises(PreconditionError, match="out of range"):
         count_weighted_assignments(bundle(2), 3, [2], [(1, 1)])
+    with pytest.raises(PreconditionError, match="edge index 1 selected twice"):
+        count_weighted_assignments(bundle(2), 3, [1, 1], [(1, 1)])
     with pytest.raises(PreconditionError, match="count_extensions"):
         count_weighted_assignments(build_h3().gadget, 3, [], [(1, 1)])
     assert count_weighted_assignments(bundle(3), 2, [0], [(1, 1), (2, 3)]) == [0, 0]

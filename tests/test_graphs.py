@@ -1,4 +1,5 @@
-"""Multigraph model, text format, selectors, bridges, edge replacement."""
+"""Multigraph model, text format, selected edge indices, bridges, edge
+replacement."""
 
 import random
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgecolorkit import (
-    EdgeSelector,
     GadgetGraph,
     MultiGraph,
     ParseError,
@@ -118,6 +118,13 @@ def test_parse_errors_name_the_line(text, fragment):
         parse_graph(text)
 
 
+def test_parse_refuses_a_vertex_count_over_the_cap():
+    # refused at the v line, before any per-vertex list exists
+    assert parse_graph("v 1000000\n").vertex_count == 10**6
+    with pytest.raises(PreconditionError, match="line 2: vertex count 1000001 exceeds the cap"):
+        parse_graph("# big\nv 1000001\ne 0 1\n")
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_render_parse_identity(data):
@@ -136,27 +143,18 @@ def test_render_parse_identity(data):
 
 
 # ---------------------------------------------------------------------------
-# selectors
+# selected edge indices
 
 
-def test_selector_all_and_parallel():
-    g = MultiGraph(3, [(0, 1), (1, 2), (0, 1)])
-    assert EdgeSelector.all_edges().select(g) == (0, 1, 2)
-    assert EdgeSelector.parallel_only().select(g) == (0, 2)
-
-
-def test_selector_explicit_sorts_and_validates():
+def test_edge_indices_sorts_and_validates():
     g = cycle(4)
-    assert EdgeSelector.explicit([3, 1]).select(g) == (1, 3)
-    with pytest.raises(PreconditionError, match="out of range"):
-        EdgeSelector.explicit([4]).select(g)
-    with pytest.raises(PreconditionError, match="selected twice"):
-        EdgeSelector.explicit([1, 1]).select(g)
-
-
-def test_selector_unknown_mode_rejected():
-    with pytest.raises(ValueError, match="unknown selector mode"):
-        EdgeSelector("bogus")
+    assert g.edge_indices([3, 1]) == (1, 3)
+    with pytest.raises(PreconditionError, match="edge index 4 out of range"):
+        g.edge_indices([4])
+    with pytest.raises(PreconditionError, match="edge index 1 selected twice"):
+        g.edge_indices([1, 1])
+    with pytest.raises(PreconditionError, match="edge index 1 selected twice"):
+        replace_edges(g, _two_path_gadget(), [1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +200,13 @@ def test_replace_edges_requires_two_danglers():
     g = cycle(3)
     bad = GadgetGraph(MultiGraph(1, []), (0,))
     with pytest.raises(PreconditionError, match="exactly 2 dangling"):
-        replace_edges(g, bad, EdgeSelector.all_edges())
+        replace_edges(g, bad, range(g.edge_count))
 
 
 def test_replace_edges_block_layout():
     g = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
     gadget = _two_path_gadget()
-    out, blocks = replace_edges(g, gadget, EdgeSelector.explicit([1]))
+    out, blocks = replace_edges(g, gadget, [1])
     # unselected edges first, then entry, internal, exit
     assert out.edges[:2] == ((0, 1), (0, 2))
     assert out.vertex_count == 5
@@ -225,7 +223,7 @@ def test_replace_edges_preserves_original_degrees():
     for _ in range(40):
         vc, edges = random_multigraph(rng, rng.randint(2, 6), rng.randint(0, 8))
         g = MultiGraph(vc, edges)
-        out, blocks = replace_edges(g, gadget, EdgeSelector.parallel_only())
+        out, blocks = replace_edges(g, gadget, g.parallel_edge_indices())
         assert set(blocks) == set(g.parallel_edge_indices())
         for v in range(g.vertex_count):
             assert out.degree(v) == g.degree(v)
@@ -236,7 +234,7 @@ def test_replace_edges_keeps_subdivision_counts():
     # each edge into a 3-path
     g = cycle(3)
     gadget = _two_path_gadget()
-    out, _ = replace_edges(g, gadget, EdgeSelector.all_edges())
+    out, _ = replace_edges(g, gadget, range(g.edge_count))
     assert out.vertex_count == 3 + 3 * 2
     assert out.edge_count == 3 * (1 + 2)
     assert out.is_connected()

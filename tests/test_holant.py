@@ -6,7 +6,6 @@ import random
 import pytest
 
 from edgecolorkit import (
-    EdgeSelector,
     build_h3,
     count_assignments,
     count_weighted_assignments,
@@ -33,7 +32,7 @@ def test_place_gadget_matrix_equals_physical_replacement():
     kappa = 4
     h3 = build_h3().gadget
     pair = decompose_extension(h3, kappa)
-    expanded, _ = replace_edges(g, h3, EdgeSelector.all_edges())
+    expanded, _ = replace_edges(g, h3, range(g.edge_count))
     assert count_weighted_assignments(g, kappa, range(g.edge_count), [pair]) == [
         count_assignments(expanded, kappa)
     ]

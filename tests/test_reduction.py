@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from edgecolorkit import reduction
 from edgecolorkit import (
-    EdgeSelector,
     GadgetGraph,
     KeyPropertyError,
     MultiGraph,
@@ -266,9 +265,14 @@ def test_pipeline_simple_input_needs_no_rows():
 
 def test_pipeline_all_edges_selector():
     g = bundle(2)
-    system = interpolation_pipeline(g, 4, build_h3(), EdgeSelector.all_edges())
+    system = interpolation_pipeline(g, 4, build_h3(), range(g.edge_count))
     assert system.m == 2
     assert system.recovered == count_assignments(g, 4)
+
+
+def test_pipeline_refuses_an_out_of_range_edge_index():
+    with pytest.raises(PreconditionError, match="edge index 2 out of range"):
+        interpolation_pipeline(bundle(2), 4, build_h3(), [0, 2])
 
 
 def test_pipeline_accepts_plain_gadget_graph():
@@ -316,17 +320,15 @@ def test_pipeline_refuses_degenerate_b_zero():
 
 
 def test_cross_validate_spec_and_derived():
-    sel = EdgeSelector.parallel_only()
     for n in (1, 2):
-        assert cross_validate_omega_n(bundle(3), 4, build_h3(), sel, n)
+        assert cross_validate_omega_n(bundle(3), 4, build_h3(), (0, 1, 2), n)
     derived = derive_distinct_diagonal(c4_gadget(), 3)
     for n in (1, 2):
-        assert cross_validate_omega_n(bundle(2), 3, derived, sel, n)
+        assert cross_validate_omega_n(bundle(2), 3, derived, (0, 1), n)
 
 
 def test_cross_validate_all_edges_on_cycle():
-    sel = EdgeSelector.all_edges()
-    assert cross_validate_omega_n(cycle(3), 4, build_h3(), sel, 1)
+    assert cross_validate_omega_n(cycle(3), 4, build_h3(), range(3), 1)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -335,7 +337,7 @@ def test_cross_validate_at_one_color(gadget, n):
     # h3 has no 1-coloring; two danglers on isolated vertices have one
     g = build_h3().gadget if gadget == "h3" else GadgetGraph(MultiGraph(2, []), (0, 1))
     edge = MultiGraph(2, [(0, 1)])
-    assert cross_validate_omega_n(edge, 1, g, EdgeSelector.all_edges(), n)
+    assert cross_validate_omega_n(edge, 1, g, [0], n)
 
 
 def test_pipeline_refuses_one_color():
@@ -344,8 +346,7 @@ def test_pipeline_refuses_one_color():
 
 
 def test_cross_validate_length_cap():
-    sel = EdgeSelector.parallel_only()
     with pytest.raises(PreconditionError, match="n <= 2"):
-        cross_validate_omega_n(bundle(3), 4, build_h3(), sel, 3)
+        cross_validate_omega_n(bundle(3), 4, build_h3(), (0, 1, 2), 3)
     with pytest.raises(PreconditionError, match="n <= 2"):
-        cross_validate_omega_n(bundle(3), 4, build_h3(), sel, 0)
+        cross_validate_omega_n(bundle(3), 4, build_h3(), (0, 1, 2), 0)
