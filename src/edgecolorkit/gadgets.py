@@ -1,12 +1,13 @@
-"""Gadget constructions and the identity-matrix verification they feed.
+"""Gadget constructions and the key-property check they feed.
 
 A gadget here is a connected simple r-regular graph (degree counts dangling
-half-edges) with exactly two dangling edges. The property that makes a
-gadget useful for edge replacement: its extension matrix M, with M[c1][c2]
-counting internal colorings given dangler colors c1, c2, equals c * I for
-some c > 0. Then splicing the gadget into an edge multiplies the coloring
-count by exactly c, since every internal coloring forces both danglers to
-share a color and each shared color is realized the same number of ways.
+half-edges) with exactly two dangling edges. Its signature is the pair
+(a, b) from counting.decompose_extension: by palette symmetry its extension
+matrix M, with M[c1][c2] counting internal colorings given dangler colors
+c1, c2, is a*I + b*(J - I). The property that makes a gadget useful for
+edge replacement is b = 0 < a: then splicing it into an edge multiplies the
+coloring count by exactly c = a. verify_key_property alone builds M, for
+its report.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .counting import MAX_MATRIX_KAPPA, decompose_extension
+from .counting import decompose_extension
 from .errors import ParseError, PreconditionError
 from .graphs import MAX_VERTICES, GadgetGraph, MultiGraph, replace_edges
-from .holant import Matrix
+
+# A key-property report holds a kappa x kappa matrix.
+MAX_MATRIX_KAPPA = 1000
 
 
 class GadgetError(ValueError):
@@ -60,19 +63,16 @@ class KeyPropertyReport:
     """Outcome of checking that a gadget's extension matrix is c * I.
 
     The matrix is a*I + b*(J - I). holds is true iff b = 0 and a > 0, and
-    then c = a (else c = 0). domain_invariant is always true: palette
-    symmetry makes every extension matrix so. gadget_name and kappa echo
-    what was checked.
+    then c = a (else c = 0). gadget_name and kappa echo what was checked.
     """
 
     gadget_name: str
     kappa: int
     holds: bool
     c: int
-    matrix: Matrix
+    matrix: tuple[tuple[int, ...], ...]
     a: int
     b: int
-    domain_invariant: bool
 
 
 def verify_key_property(spec: GadgetSpec, kappa: int) -> KeyPropertyReport:
@@ -87,7 +87,7 @@ def verify_key_property(spec: GadgetSpec, kappa: int) -> KeyPropertyReport:
     a, b = decompose_extension(spec.gadget, kappa)
     matrix = tuple(tuple(a if i == j else b for j in range(kappa)) for i in range(kappa))
     holds = b == 0 and a > 0
-    return KeyPropertyReport(spec.name, kappa, holds, a if b == 0 else 0, matrix, a, b, True)
+    return KeyPropertyReport(spec.name, kappa, holds, a if b == 0 else 0, matrix, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -330,26 +330,6 @@ def chain_graph(g: GadgetGraph, n: int) -> GadgetGraph:
         edges.append((copy * block_v + a2, (copy + 1) * block_v + a1))
     base = MultiGraph(n * block_v, edges)
     return GadgetGraph(base, (a1, (n - 1) * block_v + a2))
-
-
-def chain_gadget(
-    spec: Union[GadgetSpec, GadgetGraph], n: int
-) -> Union[GadgetSpec, GadgetGraph]:
-    """Chain a gadget n times; the chain's extension matrix is the n-th
-    power of the original's (the joining edge sums over the shared color;
-    the matrix is symmetric because it is domain invariant, so orientation
-    does not matter). A GadgetSpec in yields a GadgetSpec out; a plain
-    GadgetGraph stays plain.
-    """
-    if isinstance(spec, GadgetGraph):
-        return chain_graph(spec, n)
-    return GadgetSpec(
-        "%s-chain-%d" % (spec.name, n),
-        spec.kappa,
-        spec.r,
-        spec.planar_claimed,
-        chain_graph(spec.gadget, n),
-    )
 
 
 def _lex_shortest_path_edges(g: MultiGraph, source: int, target: int) -> list[int]:

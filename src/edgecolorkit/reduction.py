@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .counting import count_assignments, count_weighted_assignments, decompose_extension, extension_matrix
+from .counting import count_assignments, count_extensions, count_weighted_assignments, decompose_extension
 from .errors import KeyPropertyError, PreconditionError
 from .gadgets import (
     GadgetSpec,
@@ -323,6 +323,6 @@ def cross_validate_omega_n(
     if kappa > 1:
         a, b = decompose_extension(gadget, kappa)
     else:
-        a, b = extension_matrix(gadget, kappa)[0][0], 0
+        a, b = count_extensions(gadget, kappa, (0, 0)), 0
     weight = _chain_weight(a, b, kappa, n)
     return direct == count_weighted_assignments(g, kappa, selected, [weight])[0]

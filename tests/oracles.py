@@ -141,6 +141,44 @@ def oracle_count_weighted(vertex_count, edges, selected, kappa, weights):
 
 
 # ---------------------------------------------------------------------------
+# small exact matrices
+
+
+def signature_matrix(a, b, kappa):
+    """The kappa x kappa matrix a*I + b*(J - I) that a gadget's signature
+    (a, b) stands for."""
+    return tuple(tuple(a if i == j else b for j in range(kappa)) for i in range(kappa))
+
+
+def matrix_identity(k):
+    return signature_matrix(1, 0, k)
+
+
+def matrix_ones(k):
+    return signature_matrix(1, 1, k)
+
+
+def matrix_mul(a, b):
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def matrix_power(a, n):
+    if n < 0:
+        raise ValueError("negative matrix power")
+    result = matrix_identity(len(a))
+    base = tuple(tuple(int(x) for x in row) for row in a)
+    while n:
+        if n & 1:
+            result = matrix_mul(result, base)
+        base = matrix_mul(base, base)
+        n >>= 1
+    return result
+
+
+# ---------------------------------------------------------------------------
 # partition oracles
 
 

@@ -29,7 +29,6 @@ from edgecolorkit import (
     icosahedron_graph,
     interpolation_pipeline,
     is_uniquely_partition_colorable,
-    matrix_power,
     partition_spectrum,
     simplify_equal_case,
     transform_phi_prime,
@@ -49,6 +48,7 @@ from corpus import (
     star,
 )
 from oracles import (
+    matrix_power,
     oracle_partition_spectrum,
     random_bridged_cubic,
     random_cnf,

@@ -123,6 +123,29 @@ def test_verify_gadget_h3(capsys, tmp_path):
     assert len(written.dangling) == 2
 
 
+def test_verify_gadget_report_with_an_off_diagonal_signature(capsys):
+    # h3 at kappa 4 has a = 24, b = 16: every byte of the report, the
+    # matrix a*I + b*(J - I) included
+    code, out, err = run_cli(capsys, "verify-gadget", "--gadget", "h3", "--kappa", "4")
+    assert code == 0 and err == ""
+    matrix = [["24" if i == j else "16" for j in range(4)] for i in range(4)]
+    report = {
+        "a": "24",
+        "b": "16",
+        "c": "0",
+        "command": "verify-gadget",
+        "domain_invariant": True,
+        "gadget": "h3",
+        "gadget_canonical": "h3",
+        "gadget_edges": 5,
+        "gadget_vertices": 4,
+        "holds": False,
+        "kappa": 4,
+        "matrix": matrix,
+    }
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def test_verify_gadget_reports_failure_without_error(capsys):
     code, out, _ = run_cli(capsys, "verify-gadget", "--gadget", "h4", "--kappa", "3")
     assert code == 0
@@ -244,8 +267,10 @@ def test_reduce_key_property_failure_prints_matrix(capsys, monkeypatch, b3_file,
         "--output", str(tmp_path / "never.txt"),
     )
     assert code == 3
-    assert "does not satisfy the key property" in err
-    assert "matrix:" in err
+    assert err.splitlines() == [
+        "error: gadget petersen-open does not satisfy the key property at kappa=3",
+        'matrix: [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]',
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +503,16 @@ def test_missing_input_file_is_an_input_error(capsys):
     code, _, err = run_cli(capsys, "count", "--input", "/nonexistent.txt", "--kappa", "3")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("subcommand", ["count", "sat-transform"])
+def test_non_utf8_input_is_an_input_error(capsys, tmp_path, subcommand):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xff v 2\n")
+    argv = [subcommand, "--input", str(bad)] + (["--kappa", "3"] if subcommand == "count" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: %s is not UTF-8 text (undecodable byte at offset 0)\n" % bad
 
 
 def test_vertex_count_over_the_cap_is_a_refusal(capsys, tmp_path):

@@ -18,8 +18,9 @@ from edgecolorkit import (
     count_by_matching_decomposition,
     count_extensions,
     count_weighted_assignments,
+    cross_validate_omega_n,
     enumerate_perfect_matchings,
-    extension_matrix,
+    interpolation_pipeline,
     is_uniquely_partition_colorable,
     parse_gadget_name,
     partition_spectrum,
@@ -28,7 +29,6 @@ from edgecolorkit import (
 )
 from edgecolorkit.counting import (
     MAX_KAPPA,
-    MAX_MATRIX_KAPPA,
     _best_plan,
     _bfs_order,
     _cost,
@@ -38,6 +38,7 @@ from edgecolorkit.counting import (
     _plan,
     decompose_extension,
 )
+from edgecolorkit.gadgets import MAX_MATRIX_KAPPA
 
 from corpus import (
     all_multigraphs,
@@ -61,6 +62,7 @@ from oracles import (
     oracle_partitions,
     random_multigraph,
     random_regular_multigraph,
+    signature_matrix,
 )
 
 
@@ -143,7 +145,7 @@ def test_count_large_structured_instance():
 
 
 # ---------------------------------------------------------------------------
-# count_extensions / extension_matrix / decompose_extension
+# count_extensions / decompose_extension and the matrix they stand for
 
 
 def test_extensions_match_oracle():
@@ -174,24 +176,34 @@ def test_extensions_validation():
         count_extensions(h3, 0, (0, 0))
 
 
+def _full_matrix(g, kappa):
+    """The extension matrix the library stands for: expanded from
+    decompose_extension's (a, b), or at one color its single entry."""
+    if kappa == 1:
+        return ((count_extensions(g, 1, (0, 0)),),)
+    return signature_matrix(*decompose_extension(g, kappa), kappa)
+
+
+def _assert_matrix_matches_entrywise_counts(cases):
+    for g, kappa in cases:
+        m = _full_matrix(g, kappa)
+        for c1 in range(kappa):
+            for c2 in range(kappa):
+                assert m[c1][c2] == count_extensions(g, kappa, (c1, c2))
+                assert m[c1][c2] == oracle_count_extensions_pruned(
+                    g.vertex_count, g.base.edges, g.dangling, (c1, c2), kappa
+                )
+
+
 def test_extension_matrix_matches_entrywise_counts():
+    cases = []
     rng = random.Random(31)
     for _ in range(25):
         vc, edges = random_multigraph(rng, rng.randint(2, 5), rng.randint(1, 6))
         d1 = rng.randrange(vc)
         d2 = rng.randrange(vc)
-        g = GadgetGraph(MultiGraph(vc, edges), (d1, d2))
-        kappa = rng.randint(1, 4)
-        m = extension_matrix(g, kappa)
-        for c1 in range(kappa):
-            for c2 in range(kappa):
-                assert m[c1][c2] == count_extensions(g, kappa, (c1, c2))
-
-
-def test_extension_matrix_needs_two_danglers():
-    g = GadgetGraph(MultiGraph(2, [(0, 1)]), (0,))
-    with pytest.raises(PreconditionError, match="2 dangling"):
-        extension_matrix(g, 3)
+        cases.append((GadgetGraph(MultiGraph(vc, edges), (d1, d2)), rng.randint(1, 4)))
+    _assert_matrix_matches_entrywise_counts(cases)
 
 
 def test_decompose_extension_agrees_with_matrix():
@@ -204,15 +216,13 @@ def test_decompose_extension_agrees_with_matrix():
         if d1 == d2:
             continue
         cases.append((GadgetGraph(MultiGraph(vc, edges), (d1, d2)), rng.randint(2, 4)))
-    for g, kappa in cases:
-        a, b = decompose_extension(g, kappa)
-        m = extension_matrix(g, kappa)
-        assert a == m[0][0]
-        assert b == m[0][1]
-        # the whole matrix is determined by (a, b)
-        for c1 in range(kappa):
-            for c2 in range(kappa):
-                assert m[c1][c2] == (a if c1 == c2 else b)
+    _assert_matrix_matches_entrywise_counts(cases)
+
+
+def test_extension_matrix_needs_two_danglers():
+    g = GadgetGraph(MultiGraph(2, [(0, 1)]), (0,))
+    with pytest.raises(PreconditionError, match="2 dangling"):
+        decompose_extension(g, 3)
 
 
 def test_decompose_extension_needs_two_colors():
@@ -221,9 +231,9 @@ def test_decompose_extension_needs_two_colors():
 
 
 def test_extension_matrix_at_one_color_is_its_diagonal_entry():
-    assert extension_matrix(build_h3().gadget, 1) == ((0,),)
+    assert _full_matrix(build_h3().gadget, 1) == ((0,),)
     free = GadgetGraph(MultiGraph(2, []), (0, 1))
-    assert extension_matrix(free, 1) == ((1,),)
+    assert _full_matrix(free, 1) == ((1,),)
 
 
 @pytest.mark.parametrize(
@@ -232,7 +242,7 @@ def test_extension_matrix_at_one_color_is_its_diagonal_entry():
         lambda: count_assignments(bundle(2), -1),
         lambda: count_weighted_assignments(bundle(2), -1, [], [(1, 0)]),
         lambda: count_extensions(build_h3().gadget, 0, (0, 0)),
-        lambda: extension_matrix(build_h3().gadget, 0),
+        lambda: cross_validate_omega_n(bundle(2), 0, build_h3(), [], 1),
         lambda: partition_spectrum(bundle(2), -1),
     ],
 )
@@ -248,12 +258,13 @@ def test_out_of_range_kappa_is_a_precondition_error(call):
         lambda: count_weighted_assignments(bundle(2), MAX_KAPPA + 1, [0], [(1, 0)]),
         lambda: count_extensions(build_h3().gadget, MAX_KAPPA + 1, (0, 0)),
         lambda: decompose_extension(build_h3().gadget, MAX_KAPPA + 1),
-        lambda: extension_matrix(build_h3().gadget, MAX_MATRIX_KAPPA + 1),
+        lambda: interpolation_pipeline(bundle(3), MAX_KAPPA + 1, build_h3()),
         lambda: verify_key_property(build_h3(), MAX_MATRIX_KAPPA + 1),
     ],
 )
 def test_kappa_over_the_cap_is_refused_before_building(call):
-    # a start state holds kappa patterns and a matrix kappa^2 entries
+    # a start state holds kappa patterns and a key-property matrix kappa^2
+    # entries
     with pytest.raises(PreconditionError, match="exceeds the cap of"):
         call()
 
@@ -342,14 +353,14 @@ def test_fixed_gadget_full_matrix_matches_oracle(name, kappa):
         )
         for c1 in range(kappa)
     )
-    assert extension_matrix(g, kappa) == expected
+    assert signature_matrix(*decompose_extension(g, kappa), kappa) == expected
 
 
 def test_icosahedron_gadget_entries_match_oracle():
     # All 25 entries would take the oracle about 20 s; one diagonal and one
     # off-diagonal entry stand in (criterion 02 cross-checks the trace).
     g = parse_gadget_name("h5").gadget
-    m = extension_matrix(g, 5)
+    m = signature_matrix(*decompose_extension(g, 5), 5)
     for c1, c2 in ((2, 2), (3, 1)):
         assert m[c1][c2] == oracle_count_extensions_pruned(
             g.vertex_count, g.base.edges, g.dangling, (c1, c2), 5

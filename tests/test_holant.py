@@ -11,14 +11,11 @@ from edgecolorkit import (
     count_weighted_assignments,
     decompose_extension,
     eigenvalues_ab,
-    matrix_identity,
-    matrix_mul,
-    matrix_ones,
-    matrix_power,
     replace_edges,
 )
 
 from corpus import bundle
+from oracles import matrix_identity, matrix_mul, matrix_ones, matrix_power
 
 
 # ---------------------------------------------------------------------------
