@@ -31,7 +31,7 @@ from .counting import (
     partition_spectrum,
 )
 from .errors import KeyPropertyError, ParseError, PreconditionError
-from .gadgets import GadgetError, parse_gadget_name, verify_key_property
+from .gadgets import parse_gadget_name, verify_key_property
 from .graphs import GadgetGraph, MultiGraph, parse_graph, render_graph
 from .reduction import (
     interpolation_pipeline,
@@ -156,14 +156,15 @@ def cmd_reduce(args) -> tuple[dict, int]:
 def cmd_interpolate(args) -> tuple[dict, int]:
     g, digest = _load_multigraph(args.input)
     selected = range(g.edge_count) if args.selector == "all" else None
-    system = interpolation_pipeline(g, args.kappa, parse_gadget_name(args.gadget), selected)
+    spec = parse_gadget_name(args.gadget)
+    system = interpolation_pipeline(g, args.kappa, spec.gadget, selected)
     report = {
         "columns": [_dec(v) for v in system.column_values],
         "command": "interpolate",
         "count": _dec(system.recovered),
         "derived": system.derived,
         "gadget": args.gadget,
-        "gadget_used": system.gadget,
+        "gadget_used": spec.name + "-dd" * system.derived,
         "input": args.input,
         "input_sha256": digest,
         "kappa": args.kappa,
@@ -307,10 +308,7 @@ def main(argv=None) -> int:
     try:
         # Looked up per call, so the cached parser holds no handler.
         report, code = globals()["cmd_" + args.subcommand.replace("-", "_")](args)
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except KeyPropertyError as exc:
@@ -322,7 +320,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         return 3
-    except (PreconditionError, GadgetError) as exc:
+    except PreconditionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except (RecursionError, MemoryError) as exc:

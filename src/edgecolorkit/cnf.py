@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from .errors import ParseError, PreconditionError
 
 BRUTE_FORCE_VARIABLE_CAP = 24
+# The transform writes one clause per variable, so V is capped at the header.
+MAX_VARIABLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,11 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise ParseError("line %d: malformed header %r" % (lineno, line))
             if header[0] < 0 or header[1] < 0:
                 raise ParseError("line %d: negative header counts" % lineno)
+            if header[0] > MAX_VARIABLES:
+                raise PreconditionError(
+                    "line %d: variable count %d exceeds the cap of %d variables"
+                    % (lineno, header[0], MAX_VARIABLES)
+                )
             continue
         if header is None:
             raise ParseError("line %d: clause data before header" % lineno)

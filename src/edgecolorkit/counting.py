@@ -482,10 +482,9 @@ def count_by_matching_decomposition(g: MultiGraph, kappa: int, r: int) -> int:
         return 0
     pm_masks = [sum(1 << i for i in pm) for pm in pms]
     by_edge: list[list[int]] = [[] for _ in range(n_edges)]
-    for idx, mask in enumerate(pm_masks):
-        for i in range(n_edges):
-            if mask >> i & 1:
-                by_edge[i].append(idx)
+    for idx, pm in enumerate(pms):
+        for i in pm:
+            by_edge[i].append(idx)
     all_mask = (1 << n_edges) - 1
 
     def covers(used: int, start_hint: int) -> int:

@@ -14,6 +14,10 @@ class PreconditionError(ValueError):
     """Request violates a documented precondition of an operation."""
 
 
+class GadgetError(PreconditionError):
+    """A gadget construction violated its structural requirements."""
+
+
 class KeyPropertyError(PreconditionError):
     """A reduction was asked to use a gadget whose extension matrix is not
     a positive multiple of the identity. Carries the offending report."""

@@ -15,18 +15,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .counting import decompose_extension
-from .errors import ParseError, PreconditionError
+from .errors import GadgetError, ParseError, PreconditionError
 from .graphs import MAX_VERTICES, GadgetGraph, MultiGraph, replace_edges
 
 # A key-property report holds a kappa x kappa matrix.
 MAX_MATRIX_KAPPA = 1000
-
-
-class GadgetError(ValueError):
-    """A gadget construction violated its structural requirements."""
 
 
 @dataclass(frozen=True)
@@ -223,7 +219,7 @@ def build_matchings(kappa: int, n: Optional[int] = None) -> tuple[tuple[tuple[in
 
 
 def build_h_star(kappa: int, n: Optional[int] = None) -> GadgetSpec:
-    """Union of the kappa disjoint matchings with one edge opened up.
+    """The union of the kappa disjoint matchings with one edge opened up.
 
     The union is a connected simple kappa-regular graph; removing the first
     edge of the first matching, (0, 1), and dangling at 0 and 1 yields the
@@ -365,9 +361,7 @@ def _lex_shortest_path_edges(g: MultiGraph, source: int, target: int) -> list[in
     return path
 
 
-def derive_distinct_diagonal(
-    f: Union[GadgetSpec, GadgetGraph], kappa: int
-) -> Union[GadgetSpec, GadgetGraph]:
+def derive_distinct_diagonal(gadget: GadgetGraph, kappa: int) -> GadgetGraph:
     """Fix a gadget whose extension matrix has a = b (diagonal equals
     off-diagonal, so interpolation columns would collide).
 
@@ -376,10 +370,9 @@ def derive_distinct_diagonal(
     acts as a near-free coupling while the surviving path re-links the
     dangler colors, so the derived matrix separates a and b again.
     Refuses when a != b already ("not needed") or when the matrix is
-    identically zero. interpolation_pipeline builds the same structure
+    identically zero. interpolation_pipeline builds the same graph
     itself when it meets a = b != 0.
     """
-    gadget: GadgetGraph = f.gadget if isinstance(f, GadgetSpec) else f
     if len(gadget.dangling) != 2:
         raise PreconditionError("derivation needs exactly 2 dangling edges")
     if not gadget.base.is_connected():
@@ -393,23 +386,16 @@ def derive_distinct_diagonal(
         raise PreconditionError(
             "gadget signature is identically zero at kappa=%d" % kappa
         )
-    return _derived_gadget(f, kappa)
+    return _derived_gadget(gadget)
 
 
-def _derived_gadget(f, kappa):
-    """The structure derive_distinct_diagonal builds, without its checks:
-    a GadgetSpec in yields "<name>-dd" at palette size kappa, a plain
-    GadgetGraph stays plain."""
-    is_spec = isinstance(f, GadgetSpec)
-    gadget: GadgetGraph = f.gadget if is_spec else f
+def _derived_gadget(gadget: GadgetGraph) -> GadgetGraph:
+    """The graph derive_distinct_diagonal builds, without its checks."""
     s, t = gadget.dangling
     path_edges = set(_lex_shortest_path_edges(gadget.base, s, t))
     others = [i for i in range(len(gadget.base.edges)) if i not in path_edges]
     new_base, _ = replace_edges(gadget.base, gadget, others)
-    derived = GadgetGraph(new_base, gadget.dangling)
-    if not is_spec:
-        return derived
-    return GadgetSpec("%s-dd" % f.name, kappa, f.r, f.planar_claimed, derived)
+    return GadgetGraph(new_base, gadget.dangling)
 
 
 def parse_gadget_name(name: str) -> GadgetSpec:
@@ -430,8 +416,8 @@ def parse_gadget_name(name: str) -> GadgetSpec:
             return build_h_star(kappa, n)
         if head == "fnp" and len(parts) == 3:
             return build_f_nonplanar(int(parts[1]), int(parts[2]))[0]
+    except PreconditionError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, (PreconditionError, GadgetError)):
-            raise
         raise ParseError("bad gadget name %r: %s" % (name, exc))
     raise ParseError("unknown gadget name %r" % name)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .counting import count_assignments, count_extensions, count_weighted_assignments, decompose_extension
 from .errors import KeyPropertyError, PreconditionError
@@ -74,14 +74,21 @@ def simplify_equal_case(
 ) -> tuple[MultiGraph, ReductionCertificate]:
     """Splice a verified gadget into every edge of an r-regular multigraph.
 
-    The gadget's key property is checked first at this kappa; a failure
-    carries the full report. The result is simple even when g has parallel
-    edges, since every original edge is subdivided through a fresh copy.
+    kappa == r and the input's regularity are checked first, then the
+    gadget's key property at this kappa, so a refused input costs no
+    engine run; a key-property failure carries the full report. The result
+    is simple even when g has parallel edges, since every original edge is
+    subdivided through a fresh copy.
     """
     if kappa != spec.r:
         raise PreconditionError(
             "equal-palette reduction needs kappa == r (got kappa=%d, r=%d)"
             % (kappa, spec.r)
+        )
+    if not g.is_regular(spec.r):
+        raise PreconditionError(
+            "input graph is not %d-regular (degrees %s)"
+            % (spec.r, sorted(set(g.degrees())))
         )
     report = verify_key_property(spec, kappa)
     if not report.holds:
@@ -89,11 +96,6 @@ def simplify_equal_case(
             "gadget %s does not satisfy the key property at kappa=%d"
             % (spec.name, kappa),
             report,
-        )
-    if not g.is_regular(spec.r):
-        raise PreconditionError(
-            "input graph is not %d-regular (degrees %s)"
-            % (spec.r, sorted(set(g.degrees())))
         )
     g_prime, _ = replace_edges(g, spec.gadget, range(g.edge_count))
     cert = ReductionCertificate(spec.name, kappa, spec.r, report.c, g.edge_count)
@@ -150,8 +152,8 @@ class StratifiedSystem:
     """The solved interpolation system: chain lengths n = 1..m+1 down the
     rows, merged eigenvalue products lambda1^i * lambda2^(m-i) across the
     columns, exact rational solution, the recovered count (the sum of the
-    unknowns), the name of the gadget the chains were built from, and
-    whether that gadget was derived from the one passed in."""
+    unknowns), and whether the chains were built from the gadget
+    derive_distinct_diagonal makes of the one passed in."""
 
     m: int
     lambda1: int
@@ -160,7 +162,6 @@ class StratifiedSystem:
     rows: tuple[int, ...]
     solution: tuple[Fraction, ...]
     recovered: int
-    gadget: str
     derived: bool
 
 
@@ -214,12 +215,6 @@ def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int]) -> list[Fraction
     return solution
 
 
-def _resolve_gadget(spec: Union[GadgetSpec, GadgetGraph]) -> tuple[GadgetGraph, str]:
-    if isinstance(spec, GadgetGraph):
-        return spec, "gadget"
-    return spec.gadget, spec.name
-
-
 def _chain_weight(a: int, b: int, kappa: int, n: int) -> tuple[int, int]:
     """(alpha_n, beta_n) with A^n = alpha_n*I + beta_n*(J - I) for
     A = a*I + b*(J - I) over kappa colors. A^n = lambda2^n * I +
@@ -233,14 +228,15 @@ def _chain_weight(a: int, b: int, kappa: int, n: int) -> tuple[int, int]:
 def interpolation_pipeline(
     g: MultiGraph,
     kappa: int,
-    spec: Union[GadgetSpec, GadgetGraph],
+    gadget: GadgetGraph,
     selected: Optional[Iterable[int]] = None,
 ) -> StratifiedSystem:
     """Recover count(g, kappa) from chain-replaced instances.
 
-    The gadget's signature (a, b) from decompose_extension must have
-    b != 0. When a = b != 0 the pipeline runs once on the gadget
-    derive_distinct_diagonal builds, and the result names the gadget used.
+    gadget is the graph the chains are built from (a GadgetSpec's
+    .gadget); its signature (a, b) from decompose_extension must have
+    b != 0. When a = b != 0 the pipeline runs once on the graph
+    derive_distinct_diagonal builds, and the result's derived is true.
 
     selected lists the indices of the replaced edge set F, checked by
     g.edge_indices (None: the parallel edges, so simple graphs go through
@@ -253,26 +249,21 @@ def interpolation_pipeline(
     and substitutes the solution back into every equation.
     """
     selected = g.parallel_edge_indices() if selected is None else g.edge_indices(selected)
-    gadget, name = _resolve_gadget(spec)
     a, b = decompose_extension(gadget, kappa)
     derived = a == b != 0
     if derived:
-        gadget, name = _resolve_gadget(_derived_gadget(spec, kappa))
+        gadget = _derived_gadget(gadget)
         a, b = decompose_extension(gadget, kappa)
     if a == b:
         if b == 0:
-            raise PreconditionError(
-                "gadget %s has identically zero signature at kappa=%d"
-                % (name, kappa)
-            )
+            raise PreconditionError("gadget has identically zero signature at kappa=%d" % kappa)
         raise PreconditionError(
-            "gadget %s still has a = b = %d at kappa=%d after derivation"
-            % (name, a, kappa)
+            "gadget still has a = b = %d at kappa=%d after derivation" % (a, kappa)
         )
     if b == 0:
         raise PreconditionError(
-            "gadget %s has b = 0 at kappa=%d: the palette-equal reduction"
-            " applies and interpolation degenerates" % (name, kappa)
+            "gadget has b = 0 at kappa=%d: the palette-equal reduction"
+            " applies and interpolation degenerates" % kappa
         )
     lam1, lam2 = eigenvalues_ab(a, b, kappa)
     if not lam1 > abs(lam2):
@@ -293,14 +284,14 @@ def interpolation_pipeline(
     if total.denominator != 1 or total < 0:
         raise RuntimeError("internal: recovered count %s is not a nonnegative integer" % total)
     return StratifiedSystem(
-        m, lam1, lam2, columns, tuple(rows), tuple(solution), int(total), name, derived
+        m, lam1, lam2, columns, tuple(rows), tuple(solution), int(total), derived
     )
 
 
 def cross_validate_omega_n(
     g: MultiGraph,
     kappa: int,
-    spec: Union[GadgetSpec, GadgetGraph],
+    gadget: GadgetGraph,
     selected: Iterable[int],
     n: int,
 ) -> bool:
@@ -313,7 +304,6 @@ def cross_validate_omega_n(
     capped at 2."""
     if not (1 <= n <= 2):
         raise PreconditionError("direct cross-validation is capped at n <= 2")
-    gadget, _ = _resolve_gadget(spec)
     chain = chain_graph(gadget, n)
     selected = g.edge_indices(selected)
     expanded, _ = replace_edges(g, chain, selected)

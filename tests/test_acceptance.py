@@ -176,7 +176,7 @@ def test_criterion_05_interpolation_recovery(capsys):
     chain replacements at lengths 1 and 2."""
 
     def body():
-        h3 = build_h3()
+        h3 = build_h3().gadget
         b3 = bundle(3)
         for kappa, expected in ((4, 24), (5, 60)):
             system = interpolation_pipeline(b3, kappa, h3)

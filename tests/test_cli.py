@@ -529,3 +529,11 @@ def test_malformed_graph_is_an_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "count", "--input", str(bad), "--kappa", "3")
     assert code == 2
     assert "self-loop" in err
+
+
+def test_variable_count_over_the_cap_is_a_refusal(capsys, tmp_path):
+    huge = tmp_path / "huge.cnf"
+    huge.write_text("p cnf 1000000000 0\n")
+    code, out, err = run_cli(capsys, "sat-transform", "--input", str(huge))
+    assert code == 3 and out == ""
+    assert err.startswith("error: line 1: variable count") and err.count("\n") == 1

@@ -15,7 +15,7 @@ from edgecolorkit import (
     render_dimacs,
     transform_phi_prime,
 )
-from edgecolorkit.cnf import BRUTE_FORCE_VARIABLE_CAP
+from edgecolorkit.cnf import BRUTE_FORCE_VARIABLE_CAP, MAX_VARIABLES
 
 from oracles import oracle_count_sat, random_cnf
 
@@ -78,6 +78,12 @@ def test_parse_dimacs_empty_clause():
 def test_parse_dimacs_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_dimacs(text)
+
+
+def test_parse_dimacs_caps_the_variable_count():
+    assert parse_dimacs("p cnf %d 0\n" % MAX_VARIABLES).variable_count == MAX_VARIABLES
+    with pytest.raises(PreconditionError, match="line 2: variable count 1000001 exceeds the cap"):
+        parse_dimacs("c big\np cnf %d 0\n" % (MAX_VARIABLES + 1))
 
 
 def test_render_dimacs_shape():

@@ -242,7 +242,7 @@ def test_extension_matrix_at_one_color_is_its_diagonal_entry():
         lambda: count_assignments(bundle(2), -1),
         lambda: count_weighted_assignments(bundle(2), -1, [], [(1, 0)]),
         lambda: count_extensions(build_h3().gadget, 0, (0, 0)),
-        lambda: cross_validate_omega_n(bundle(2), 0, build_h3(), [], 1),
+        lambda: cross_validate_omega_n(bundle(2), 0, build_h3().gadget, [], 1),
         lambda: partition_spectrum(bundle(2), -1),
     ],
 )
@@ -258,7 +258,7 @@ def test_out_of_range_kappa_is_a_precondition_error(call):
         lambda: count_weighted_assignments(bundle(2), MAX_KAPPA + 1, [0], [(1, 0)]),
         lambda: count_extensions(build_h3().gadget, MAX_KAPPA + 1, (0, 0)),
         lambda: decompose_extension(build_h3().gadget, MAX_KAPPA + 1),
-        lambda: interpolation_pipeline(bundle(3), MAX_KAPPA + 1, build_h3()),
+        lambda: interpolation_pipeline(bundle(3), MAX_KAPPA + 1, build_h3().gadget),
         lambda: verify_key_property(build_h3(), MAX_MATRIX_KAPPA + 1),
     ],
 )

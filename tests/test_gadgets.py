@@ -57,6 +57,11 @@ def test_spec_requires_simple_connected_base():
         GadgetSpec("bad", 2, 2, True, GadgetGraph(split, (3, 4)))
 
 
+def test_gadget_error_is_a_precondition_refusal():
+    # the CLI's one PreconditionError handler gives it exit 3
+    assert issubclass(GadgetError, PreconditionError)
+
+
 # ---------------------------------------------------------------------------
 # fixed builders
 
@@ -316,12 +321,12 @@ def test_derive_fixes_the_equal_case():
 
 def test_derive_refuses_when_not_needed():
     with pytest.raises(PreconditionError, match="not needed: a=24 differs from b=16"):
-        derive_distinct_diagonal(build_h3(), 4)
+        derive_distinct_diagonal(build_h3().gadget, 4)
 
 
 def test_derive_refuses_identically_zero():
     with pytest.raises(PreconditionError, match="identically zero"):
-        derive_distinct_diagonal(petersen_open_spec(), 3)
+        derive_distinct_diagonal(petersen_open_spec().gadget, 3)
 
 
 def test_derive_requires_two_danglers_and_connectivity():
@@ -352,10 +357,9 @@ def test_planar_gadgets_chains_and_derivations_are_planar(name):
     spec = parse_gadget_name(name)
     # derive_distinct_diagonal refuses these gadgets (their a != b), so the
     # structure it would derive is built directly
-    derived = _derived_gadget(spec, spec.kappa)
-    assert derived.name == name + "-dd"
-    assert spec.planar_claimed and derived.planar_claimed
-    for g in (spec.gadget, chain_graph(spec.gadget, 2), derived.gadget):
+    derived = _derived_gadget(spec.gadget)
+    assert spec.planar_claimed
+    for g in (spec.gadget, chain_graph(spec.gadget, 2), derived):
         assert _planar_with_danglers_on_one_face(g)
 
 

@@ -72,6 +72,15 @@ def test_simplify_requires_regular_input():
         simplify_equal_case(path(2), 3, build_h3())
 
 
+def test_simplify_refuses_irregular_input_before_the_key_property(monkeypatch):
+    def never(*args):
+        raise AssertionError("key property checked before the input's regularity")
+
+    monkeypatch.setattr(reduction, "verify_key_property", never)
+    with pytest.raises(PreconditionError, match="not 3-regular"):
+        simplify_equal_case(path(2), 3, petersen_open_spec())
+
+
 def test_simplify_rejects_bad_gadget_with_report():
     with pytest.raises(KeyPropertyError, match="does not satisfy") as excinfo:
         simplify_equal_case(bundle(3), 3, petersen_open_spec())
@@ -127,8 +136,8 @@ def test_select_gadget_covers_paper_window():
                     a, b = decompose_extension(spec.gadget, kappa)
                     assert b == 0 and a > 0, where
                     continue
-                system = interpolation_pipeline(g, kappa, spec)
-                assert not system.derived and system.gadget == spec.name, where
+                system = interpolation_pipeline(g, kappa, spec.gadget)
+                assert not system.derived, where
                 # lambda1 - lambda2 = kappa * b and lambda2 = a - b
                 b, rest = divmod(system.lambda1 - system.lambda2, kappa)
                 a = system.lambda2 + b
@@ -235,7 +244,7 @@ def test_solve_vandermonde_substitution_catches_a_wrong_solve(monkeypatch):
 
 
 def test_pipeline_recovers_bundle_counts():
-    h3 = build_h3()
+    h3 = build_h3().gadget
     system = interpolation_pipeline(bundle(3), 4, h3)
     assert system.m == 3
     assert (system.lambda1, system.lambda2) == (72, 8)
@@ -258,21 +267,21 @@ def test_pipeline_recovers_bundle_counts():
 
 def test_pipeline_simple_input_needs_no_rows():
     # no parallel edges means m = 0: one row, count recovered directly
-    system = interpolation_pipeline(complete(4), 4, build_h3())
+    system = interpolation_pipeline(complete(4), 4, build_h3().gadget)
     assert system.m == 0
     assert system.recovered == count_assignments(complete(4), 4)
 
 
 def test_pipeline_all_edges_selector():
     g = bundle(2)
-    system = interpolation_pipeline(g, 4, build_h3(), range(g.edge_count))
+    system = interpolation_pipeline(g, 4, build_h3().gadget, range(g.edge_count))
     assert system.m == 2
     assert system.recovered == count_assignments(g, 4)
 
 
 def test_pipeline_refuses_an_out_of_range_edge_index():
     with pytest.raises(PreconditionError, match="edge index 2 out of range"):
-        interpolation_pipeline(bundle(2), 4, build_h3(), [0, 2])
+        interpolation_pipeline(bundle(2), 4, build_h3().gadget, [0, 2])
 
 
 def test_pipeline_accepts_plain_gadget_graph():
@@ -285,7 +294,7 @@ def test_pipeline_accepts_plain_gadget_graph():
 def test_pipeline_negative_lambda2_from_spec():
     # h3 at kappa=6 has a < b, so lambda2 < 0; recovery must still be exact
     g = bundle(2)
-    system = interpolation_pipeline(g, 6, build_h3())
+    system = interpolation_pipeline(g, 6, build_h3().gadget)
     assert system.lambda2 < 0
     assert system.recovered == count_assignments(g, 6) == 30
 
@@ -293,26 +302,26 @@ def test_pipeline_negative_lambda2_from_spec():
 def test_pipeline_derives_when_a_equals_b():
     # c4 has a = b = 2 at kappa 3; the pipeline runs on its derivation
     system = interpolation_pipeline(bundle(2), 3, c4_gadget())
-    assert system.derived and system.gadget == "gadget"
+    assert system.derived
     assert (system.lambda1, system.lambda2) == (192, -24)
     assert system.recovered == count_assignments(bundle(2), 3) == 6
 
 
 def test_pipeline_refuses_a_derivation_that_keeps_a_equal_to_b(monkeypatch):
     # the derived gadget is not derived again
-    monkeypatch.setattr(reduction, "_derived_gadget", lambda f, kappa: f)
+    monkeypatch.setattr(reduction, "_derived_gadget", lambda f: f)
     with pytest.raises(PreconditionError, match="still has a = b = 2 at kappa=3"):
         interpolation_pipeline(bundle(2), 3, c4_gadget())
 
 
 def test_pipeline_refuses_zero_signature():
     with pytest.raises(PreconditionError, match="identically zero"):
-        interpolation_pipeline(bundle(3), 3, petersen_open_spec())
+        interpolation_pipeline(bundle(3), 3, petersen_open_spec().gadget)
 
 
 def test_pipeline_refuses_degenerate_b_zero():
     with pytest.raises(PreconditionError, match="palette-equal reduction"):
-        interpolation_pipeline(bundle(3), 3, build_h3())
+        interpolation_pipeline(bundle(3), 3, build_h3().gadget)
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +330,14 @@ def test_pipeline_refuses_degenerate_b_zero():
 
 def test_cross_validate_spec_and_derived():
     for n in (1, 2):
-        assert cross_validate_omega_n(bundle(3), 4, build_h3(), (0, 1, 2), n)
+        assert cross_validate_omega_n(bundle(3), 4, build_h3().gadget, (0, 1, 2), n)
     derived = derive_distinct_diagonal(c4_gadget(), 3)
     for n in (1, 2):
         assert cross_validate_omega_n(bundle(2), 3, derived, (0, 1), n)
 
 
 def test_cross_validate_all_edges_on_cycle():
-    assert cross_validate_omega_n(cycle(3), 4, build_h3(), range(3), 1)
+    assert cross_validate_omega_n(cycle(3), 4, build_h3().gadget, range(3), 1)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -342,11 +351,11 @@ def test_cross_validate_at_one_color(gadget, n):
 
 def test_pipeline_refuses_one_color():
     with pytest.raises(PreconditionError, match="at least 2 colors"):
-        interpolation_pipeline(bundle(2), 1, build_h3())
+        interpolation_pipeline(bundle(2), 1, build_h3().gadget)
 
 
 def test_cross_validate_length_cap():
     with pytest.raises(PreconditionError, match="n <= 2"):
-        cross_validate_omega_n(bundle(3), 4, build_h3(), (0, 1, 2), 3)
+        cross_validate_omega_n(bundle(3), 4, build_h3().gadget, (0, 1, 2), 3)
     with pytest.raises(PreconditionError, match="n <= 2"):
-        cross_validate_omega_n(bundle(3), 4, build_h3(), (0, 1, 2), 0)
+        cross_validate_omega_n(bundle(3), 4, build_h3().gadget, (0, 1, 2), 0)
