@@ -358,17 +358,32 @@ def count_weighted_assignments(
     # alpha[same] + beta[differ] = (alpha - beta)[same] + beta[any], so one
     # run counts the colorings with j selected edges in [same] and the rest
     # in [any] as M_j, the base-2^shift digits of one integer, and each row
-    # is sum_j M_j (alpha - beta)^j beta^(m - j). No digit carries: a [same]
-    # edge takes one color and an [any] edge two, so with E edges
-    # M_j <= C(m, j) kappa^(E + m - j) <= 2^m kappa^(E + m) < 2^shift.
+    # is sum_j M_j (alpha - beta)^j beta^(m - j), by _stratum_rows. No digit
+    # carries: a [same] edge takes one color and an [any] edge two, so with
+    # E edges M_j <= C(m, j) kappa^(E + m - j) <= 2^m kappa^(E + m) < 2^shift.
     m = len(selected)
     shift = (len(g.edges) + m) * kappa.bit_length() + m + 1
     packed = _run(steps, tuple(_idle(kappa)), 1 << shift)
     strata = [packed >> (j * shift) & ((1 << shift) - 1) for j in range(m + 1)]
-    return [
-        sum(n * (int(a) - int(b)) ** j * int(b) ** (m - j) for j, n in enumerate(strata))
-        for a, b in weights
-    ]
+    return _stratum_rows(strata, weights)
+
+
+def _stratum_rows(strata: Sequence[int], weights: Sequence[tuple[int, int]]) -> list[int]:
+    """sum_j strata[j] * (alpha - beta)^j * beta^(m - j) for each (alpha,
+    beta) in weights, m = len(strata) - 1, by homogeneous Horner: from
+    row = strata[m] down, row = row * (alpha - beta) + strata[j] * beta^(m - j)
+    with the power of beta grown by one factor per step, so every product
+    has one short operand and no power is rebuilt."""
+    rows = []
+    for a, b in weights:
+        a, b = int(a), int(b)
+        diff, power = a - b, 1
+        row = strata[-1]
+        for n in reversed(strata[:-1]):
+            power *= b
+            row = row * diff + n * power
+        rows.append(row)
+    return rows
 
 
 def count_extensions(g: GadgetGraph, kappa: int, boundary: Sequence[int]) -> int:

@@ -26,8 +26,10 @@ beta_n = (lambda1^n - lambda2^n) / kappa and alpha_n = beta_n + lambda2^n,
 so row n is a weighted count of g on the frontier engine
 (count_weighted_assignments), and one engine run serves every row;
 cross_validate_omega_n checks the same weights on explicit chains. The
-system is solved by Björck and Pereyra's O(m^2) algorithm, and the solution
-is substituted back into every equation before it is used.
+system is solved by Björck and Pereyra's O(m^2) algorithm, whose sweeps
+both stay in integers while every division is exact (Fractions take over
+at the first one that is not), and the solution is substituted back into
+every equation before it is used.
 """
 
 from __future__ import annotations
@@ -168,19 +170,30 @@ class StratifiedSystem:
 def _solve_dual(nodes: Sequence[int], rhs: Sequence[int]) -> list[Fraction]:
     """Björck and Pereyra's dual algorithm (Math. Comp. 24, 1970): the y
     with sum_j y_j * nodes[j]^k = rhs[k] for k = 0..len(nodes)-1, in
-    O(len^2) exact operations. The first sweep stays in the integers."""
+    O(len^2) exact operations. Both sweeps stay in integers while every
+    division is exact (divmod leaves no remainder); at the first inexact
+    one the vector turns into Fractions for the rest of the sweep, so a
+    non-integral system tests no remainder after that."""
     size = len(nodes)
     y = list(rhs)
     for k in range(size - 1):
         for i in range(size - 1, k, -1):
             y[i] -= nodes[k] * y[i - 1]
-    y = [Fraction(v) for v in y]
+    exact = True
     for k in range(size - 2, -1, -1):
         for i in range(k + 1, size):
-            y[i] /= nodes[i] - nodes[i - k - 1]
+            step = nodes[i] - nodes[i - k - 1]
+            if exact:
+                quotient, rest = divmod(y[i], step)
+                if not rest:
+                    y[i] = quotient
+                    continue
+                exact = False
+                y = [Fraction(v) for v in y]
+            y[i] /= step
         for i in range(k, size - 1):
             y[i] -= y[i + 1]
-    return y
+    return [Fraction(v) for v in y] if exact else y
 
 
 def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int]) -> list[Fraction]:

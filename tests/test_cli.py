@@ -1,5 +1,6 @@
 """Command-line interface: reports, determinism, exit codes."""
 
+import hashlib
 import json
 import sys
 import time
@@ -365,6 +366,16 @@ def test_interpolate_renders_rows_past_the_digit_limit(capsys, tmp_path):
     assert report["check"]["verified"] is True
     assert max(len(v) for v in report["rows"]) > 4300
     assert sys.get_int_max_str_digits() == limit
+    # the system itself, one sha256 per list of decimals joined by newlines
+    digests = {
+        key: hashlib.sha256("\n".join(report[key]).encode()).hexdigest()
+        for key in ("rows", "columns", "solution")
+    }
+    assert digests == {
+        "rows": "b7c2e7aa3981b841f16d136056249883cfe71ad4ebcbec6d40f2ae00a9444668",
+        "columns": "64e563733dd52ef33d87749845ab6e5e58df5004ce7a7334376ad37b4b3d33a3",
+        "solution": "3f5fc5797ea811682b4f318927f0d10d2fe2b89a4a2f90dac1b800c254c8f87a",
+    }
 
 
 def test_decimal_rendering_is_str_without_the_digit_limit():

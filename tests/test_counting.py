@@ -36,6 +36,7 @@ from edgecolorkit.counting import (
     _frontier_order,
     _greedy_order,
     _plan,
+    _stratum_rows,
     decompose_extension,
 )
 from edgecolorkit.gadgets import MAX_MATRIX_KAPPA
@@ -318,6 +319,31 @@ def test_weighted_count_matches_oracle(data):
     assert count_weighted_assignments(g, kappa, selected, [(1, 0)]) == [
         count_assignments(g, kappa)
     ]
+
+
+def _direct_rows(strata, weights):
+    """Each row term by term, both powers computed from scratch: the
+    reference for _stratum_rows's Horner evaluation."""
+    m = len(strata) - 1
+    return [
+        sum(n * (a - b) ** j * b ** (m - j) for j, n in enumerate(strata))
+        for a, b in weights
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_stratum_rows_match_the_direct_formula(data):
+    m = data.draw(st.integers(min_value=0, max_value=12))
+    strata = data.draw(
+        st.lists(st.integers(min_value=0, max_value=2 ** 80), min_size=m + 1, max_size=m + 1)
+    )
+    weight = st.integers(min_value=-40, max_value=40)
+    pairs = data.draw(st.lists(st.tuples(weight, weight), max_size=3))
+    w = data.draw(weight)
+    # alpha = beta, beta = 0 and alpha = 0
+    pairs += [(w, w), (w, 0), (0, w), (0, 0)]
+    assert _stratum_rows(strata, pairs) == _direct_rows(strata, pairs)
 
 
 def test_weighted_count_validation():

@@ -191,6 +191,92 @@ def test_solve_vandermonde_round_trip(data):
     assert solved == [Fraction(x) for x in xs]
 
 
+def _fraction_dual(nodes, rhs):
+    """The dual algorithm with its whole second sweep over Fractions: the
+    reference for _solve_dual, which keeps exact divisions in integers."""
+    size = len(nodes)
+    y = list(rhs)
+    for k in range(size - 1):
+        for i in range(size - 1, k, -1):
+            y[i] -= nodes[k] * y[i - 1]
+    y = [Fraction(v) for v in y]
+    for k in range(size - 2, -1, -1):
+        for i in range(k + 1, size):
+            y[i] /= nodes[i] - nodes[i - k - 1]
+        for i in range(k, size - 1):
+            y[i] -= y[i + 1]
+    return y
+
+
+def _second_sweep(nodes):
+    """The second sweep's steps in order: (i, d) divides y[i] by d and
+    (i, None) subtracts y[i + 1] from y[i]."""
+    size = len(nodes)
+    steps = []
+    for k in range(size - 2, -1, -1):
+        steps += [(i, nodes[i] - nodes[i - k - 1]) for i in range(k + 1, size)]
+        steps += [(i, None) for i in range(k, size - 1)]
+    return steps
+
+
+def _rhs_reaching(nodes, state, stop):
+    """The right-hand side whose sweeps leave y = state just before the
+    second sweep's step number stop: the steps before it and the first
+    sweep undone, in integers, so every division before stop is exact."""
+    y = list(state)
+    for i, d in reversed(_second_sweep(nodes)[:stop]):
+        if d is None:
+            y[i] += y[i + 1]
+        else:
+            y[i] *= d
+    for k in reversed(range(len(nodes) - 1)):
+        for i in range(k + 1, len(nodes)):
+            y[i] += nodes[k] * y[i - 1]
+    return y
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_solve_dual_matches_the_fraction_sweep(data):
+    size = data.draw(st.integers(min_value=0, max_value=7))
+    # even nodes, so every difference is at least 2 and any division can be
+    # made inexact; negative ones stand for lambda2 < 0
+    nodes = data.draw(
+        st.lists(st.integers(min_value=-30, max_value=30), min_size=size, max_size=size,
+                 unique=True)
+    )
+    nodes = [2 * v for v in nodes]
+    state = data.draw(
+        st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6), min_size=size,
+                 max_size=size)
+    )
+    steps = _second_sweep(nodes)
+    divisions = [n for n, (_, d) in enumerate(steps) if d is not None]
+    # None: every division exact; else the first inexact one, early to last
+    first_inexact = data.draw(st.sampled_from([None] + divisions))
+    if first_inexact is None:
+        rhs = _rhs_reaching(nodes, state, len(steps))
+    else:
+        i, d = steps[first_inexact]
+        state[i] = state[i] * d + data.draw(st.integers(min_value=1, max_value=abs(d) - 1))
+        rhs = _rhs_reaching(nodes, state, first_inexact)
+    solved = reduction._solve_dual(nodes, rhs)
+    assert all(type(v) is Fraction for v in solved)
+    assert solved == _fraction_dual(nodes, rhs)
+    if first_inexact is None:
+        assert solved == state
+    else:
+        assert any(v.denominator != 1 for v in solved)
+
+
+@pytest.mark.parametrize("nodes", [(), (5,), (-3,), (2, -4, 6), (864, 64, -8)])
+def test_solve_dual_on_small_and_zero_systems(nodes):
+    zero = reduction._solve_dual(nodes, [0] * len(nodes))
+    assert zero == [0] * len(nodes) and all(type(v) is Fraction for v in zero)
+    rhs = list(range(3, 3 + len(nodes)))
+    assert reduction._solve_dual(nodes, rhs) == _fraction_dual(nodes, rhs)
+
+
 def _gauss_jordan_vandermonde(nodes, rhs):
     """The O(m^3) Fraction elimination solve_vandermonde used to run."""
     size = len(nodes)
