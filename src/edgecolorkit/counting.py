@@ -408,23 +408,56 @@ def count_extensions(g: GadgetGraph, kappa: int, boundary: Sequence[int]) -> int
     return _counts(g.base, [(kappa, boundary)], g.dangling)[0]
 
 
+def _exact(num: int, den: int, what: str) -> int:
+    """num / den, which must divide exactly."""
+    q, rem = divmod(num, den)
+    if rem:
+        raise RuntimeError("internal: %s = %d/%d is not an integer" % (what, num, den))
+    return q
+
+
 def decompose_extension(g: GadgetGraph, kappa: int) -> tuple[int, int]:
     """The signature (a, b) of a 2-dangler gadget: its extension matrix is
-    a*I + b*(J - I), and a and b are the counts with boundary (0, 0) and
-    (0, 1), two engine runs.
+    a*I + b*(J - I), a the count with equal boundary colors and b with
+    distinct ones, from unpinned counts of the base.
 
     Permuting the palette bijects internal colorings while permuting the
     boundary pair, so the extension count depends only on whether the two
-    boundary colors coincide, and these two entries determine the matrix.
-    Every caller that needs a gadget's signature takes it from here; the
-    tests check whole matrices against a brute-force oracle that knows
-    nothing of that symmetry.
+    boundary colors coincide, and a and b determine the matrix. Let x and y
+    be the attachments, d_x and d_y their degrees in the base and
+    N = count_assignments(base, kappa).
+
+    x != y: coloring an added edge xy with c is the boundary (c, c), so
+    kappa * a = count_assignments(base + xy, kappa), a parallel edge when x
+    and y are already adjacent. Summing the matrix over all boundaries
+    gives every coloring of the base times the colors free at x and at y:
+    kappa * lambda1 = kappa * (a + (kappa - 1) * b)
+    = N * (kappa - d_x) * (kappa - d_y), so b = (lambda1 - a) / (kappa - 1).
+
+    x == y, of degree d: two danglers at one vertex never share a color, so
+    a = 0, and the same sum gives
+    kappa * (kappa - 1) * b = N * (kappa - d) * (kappa - d - 1).
+
+    (A palette below a degree gives N = 0, and both identities still hold.)
+    Every division must be exact; a remainder is an internal error, not
+    floored away. Every caller that needs a gadget's signature takes it
+    from here; the tests check whole matrices against count_extensions and
+    a brute-force oracle, neither of which uses this symmetry.
     """
     if len(g.dangling) != 2:
         raise PreconditionError("decomposition needs exactly 2 dangling edges")
     if kappa < 2:
         raise PreconditionError("need at least 2 colors to separate a from b")
-    return tuple(_counts(g.base, [(kappa, (0, 0)), (kappa, (0, 1))], g.dangling))
+    base = g.base
+    x, y = g.dangling
+    free = kappa - base.degree(x)
+    n = count_assignments(base, kappa)
+    if x == y:
+        return 0, _exact(n * free * (free - 1), kappa * (kappa - 1), "b")
+    closed = MultiGraph(base.vertex_count, base.edges + ((x, y),))
+    a = _exact(count_assignments(closed, kappa), kappa, "a")
+    lam1 = _exact(n * free * (kappa - base.degree(y)), kappa, "lambda1")
+    return a, _exact(lam1 - a, kappa - 1, "b")
 
 
 def enumerate_perfect_matchings(g: MultiGraph) -> tuple[tuple[int, ...], ...]:

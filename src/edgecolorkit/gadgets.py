@@ -277,7 +277,7 @@ def build_f_nonplanar(kappa: int, r: int) -> tuple[GadgetSpec, WitnessColoring]:
     2r-1). Edges: hub r-1 to each of 0..r-2, hub 2r-1 to each of r..2r-2,
     and the complete bipartite block between 0..r-2 and r..2r-2. Danglers
     at both hubs. The witness colors hub edges by their spoke index, block
-    edge (i, j) by (i + j) mod r, and both danglers 0; it shows b > 0 at
+    edge (i, j) by (i + j) mod r, and both danglers 0; it shows a > 0 at
     any kappa >= r: a coloring exists with equal dangler colors, and the
     construction is color-symmetric.
     """

@@ -393,6 +393,60 @@ def test_icosahedron_gadget_entries_match_oracle():
         )
 
 
+def test_unpinned_signature_matches_pinned_counts_and_oracle():
+    # decompose_extension reads (a, b) off unpinned counts of the base and
+    # of the base closed by an edge xy; count_extensions and the oracle pin
+    # the boundary instead.
+    rng = random.Random(1606)
+    seen = set()
+    for _ in range(200):
+        vc, edges = random_multigraph(rng, rng.randint(2, 5), rng.randint(0, 7))
+        x, y = rng.randrange(vc), rng.randrange(vc)
+        g = GadgetGraph(MultiGraph(vc, edges), (x, y))
+        kappa = rng.randint(2, 5)
+        expected = tuple(
+            oracle_count_extensions_pruned(vc, edges, (x, y), boundary, kappa)
+            for boundary in ((0, 0), (0, 1))
+        )
+        assert decompose_extension(g, kappa) == expected, (vc, edges, x, y, kappa)
+        assert expected == (
+            count_extensions(g, kappa, (0, 0)),
+            count_extensions(g, kappa, (0, 1)),
+        )
+        if x == y:
+            seen.add("x = y")
+        elif tuple(sorted((x, y))) in edges:
+            seen.add("x adjacent to y")
+        if kappa < max(g.base.degrees()):
+            seen.add("kappa below the degree")
+    assert seen == {"x = y", "x adjacent to y", "kappa below the degree"}
+
+
+@pytest.mark.parametrize(
+    "g, kappa",
+    [
+        (build_h3().gadget, 3),
+        # both danglers at a vertex of degree 2, so b's division by
+        # kappa * (kappa - 1) is what has to catch it
+        (GadgetGraph(MultiGraph(3, [(0, 1), (0, 2)]), (0, 0)), 4),
+    ],
+)
+def test_signature_divisions_are_checked_not_floored(monkeypatch, g, kappa):
+    monkeypatch.setattr(
+        "edgecolorkit.counting.count_assignments",
+        lambda graph, k: count_assignments(graph, k) + 1,
+    )
+    with pytest.raises(RuntimeError, match="internal: .* is not an integer"):
+        decompose_extension(g, kappa)
+
+
+def test_signature_beyond_the_bench_by_both_routes():
+    g = parse_gadget_name("fnp:7:5").gadget
+    expected = (726036480, 514142208)
+    assert decompose_extension(g, 6) == expected
+    assert (count_extensions(g, 6, (0, 0)), count_extensions(g, 6, (0, 1))) == expected
+
+
 def test_long_path_counts_without_recursion():
     assert count_assignments(path(1200), 2) == 2
     assert count_assignments(path(1200), 3) == 3 * 2 ** 1199
