@@ -35,6 +35,8 @@ from .graphs import GadgetGraph, MultiGraph
 
 # A state holds one pattern per color.
 MAX_KAPPA = 10**6
+# A weighted run's multiplicity packs m + 1 strata, each wider as m grows.
+MAX_PACKED_BITS = 1 << 20
 
 
 def _greedy_order(edges, inc, tie=None) -> list[int]:
@@ -344,7 +346,10 @@ def count_weighted_assignments(
     color and beta when they differ. Every other edge is an ordinary edge.
     This is the Holant of g with the binary signature alpha*I + beta*(J - I)
     placed on each selected edge, and (1, 0) gives count_assignments. All
-    weights share one plan. selected is checked by g.edge_indices.
+    weights share one plan. selected is checked by g.edge_indices. The run
+    packs m + 1 strata of (E + m) * bits(kappa) + m + 1 bits into each
+    multiplicity (E edges, m selected), a width quadratic in m; above
+    MAX_PACKED_BITS it is refused before the plan is built.
     """
     if isinstance(g, GadgetGraph):
         raise PreconditionError("gadget graphs are counted via count_extensions")
@@ -354,6 +359,13 @@ def count_weighted_assignments(
     inc = g.incidence_lists()
     if kappa < max(map(len, inc), default=0):
         return [0] * len(weights)
+    m = len(selected)
+    shift = (len(g.edges) + m) * kappa.bit_length() + m + 1
+    if shift * (m + 1) > MAX_PACKED_BITS:
+        raise PreconditionError(
+            "a weighted count over m=%d selected edges packs %d-bit multiplicities,"
+            " above the cap of %d bits" % (m, shift * (m + 1), MAX_PACKED_BITS)
+        )
     _, steps, _ = _best_plan(g.edges, inc, (), selected)
     # alpha[same] + beta[differ] = (alpha - beta)[same] + beta[any], so one
     # run counts the colorings with j selected edges in [same] and the rest
@@ -361,8 +373,6 @@ def count_weighted_assignments(
     # is sum_j M_j (alpha - beta)^j beta^(m - j), by _stratum_rows. No digit
     # carries: a [same] edge takes one color and an [any] edge two, so with
     # E edges M_j <= C(m, j) kappa^(E + m - j) <= 2^m kappa^(E + m) < 2^shift.
-    m = len(selected)
-    shift = (len(g.edges) + m) * kappa.bit_length() + m + 1
     packed = _run(steps, tuple(_idle(kappa)), 1 << shift)
     strata = [packed >> (j * shift) & ((1 << shift) - 1) for j in range(m + 1)]
     return _stratum_rows(strata, weights)

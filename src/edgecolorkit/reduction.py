@@ -26,10 +26,16 @@ beta_n = (lambda1^n - lambda2^n) / kappa and alpha_n = beta_n + lambda2^n,
 so row n is a weighted count of g on the frontier engine
 (count_weighted_assignments), and one engine run serves every row;
 cross_validate_omega_n checks the same weights on explicit chains. The
-system is solved by Björck and Pereyra's O(m^2) algorithm, whose sweeps
-both stay in integers while every division is exact (Fractions take over
-at the first one that is not), and the solution is substituted back into
-every equation before it is used.
+system is solved in lowest terms: lambda1 and lambda2 share d = their gcd,
+and row n and every column carry the known factors d^(n*m) and d^m, so
+the engine weights and the Vandermonde nodes are taken over
+mu = lambda / d, with the unknowns scaled to the integers kappa^m * x_i
+(interpolation_pipeline has the identity). That system is solved by
+Björck and Pereyra's O(m^2) algorithm, whose sweeps both stay in integers
+while every division is exact (Fractions take over at the first one that
+is not), and the solution is substituted back into every equation before
+it is used. The reported rows, columns and solution are rebuilt from it
+exactly.
 """
 
 from __future__ import annotations
@@ -155,7 +161,10 @@ class StratifiedSystem:
     rows, merged eigenvalue products lambda1^i * lambda2^(m-i) across the
     columns, exact rational solution, the recovered count (the sum of the
     unknowns), and whether the chains were built from the gadget
-    derive_distinct_diagonal makes of the one passed in."""
+    derive_distinct_diagonal makes of the one passed in. The system is
+    solved in lowest terms (gcd(lambda1, lambda2) divided out); rows,
+    columns and solution are the unreduced system's, rebuilt exactly, and
+    every solution denominator divides kappa^m."""
 
     m: int
     lambda1: int
@@ -258,8 +267,32 @@ def interpolation_pipeline(
     counts colorings of the n-chain-replaced graph without building it: a
     weighted count on the frontier engine, with the closed-form weight
     (alpha_n, beta_n) of A^n on each edge of F, all rows from one plan.
-    solve_vandermonde solves the rows by Björck and Pereyra's algorithm
-    and substitutes the solution back into every equation.
+
+    The rows and columns share a known factor, so the engine and the solve
+    run on the system in lowest terms. Let d = gcd(lambda1, lambda2),
+    mu1 = lambda1 / d and mu2 = lambda2 / d (mu2 may be negative), and
+    X_n = mu1^n - mu2^n. Then beta_n = d^n X_n / kappa and
+    alpha_n - beta_n = lambda2^n = d^n mu2^n, so with M_j the colorings
+    that put j edges of F in [same] (count_weighted_assignments),
+
+        r_n = sum_j M_j (alpha_n - beta_n)^j beta_n^(m-j)
+            = d^(n*m) / kappa^m * sum_j M_j (kappa mu2^n)^j X_n^(m-j)
+            = d^(n*m) * S_n / kappa^m,
+
+    and S_n is one engine run with the weights (X_n + kappa mu2^n, X_n).
+    Column i is d^m * nu_i with nu_i = mu1^i * mu2^(m-i), so dividing
+    equation n by d^(n*m) / kappa^m leaves
+
+        sum_i y_i * nu_i^n = S_n,  y_i = kappa^m * x_i.
+
+    The y_i are integers: expanding A^n = lambda1^n J/kappa +
+    lambda2^n (I - J/kappa) over the edges of F makes kappa^m x_i a sum of
+    Holants with integer signatures J and kappa*I - J. solve_vandermonde
+    solves for y by Björck and Pereyra's algorithm and substitutes it back
+    into every reduced equation; x_i = y_i / kappa^m, and r_n is rebuilt
+    by an exact division. A fractional y_i, a remainder in a row, or a
+    recovered count that is not a nonnegative integer is an internal
+    error, not rounded away.
     """
     selected = g.parallel_edge_indices() if selected is None else g.edge_indices(selected)
     a, b = decompose_extension(gadget, kappa)
@@ -285,19 +318,42 @@ def interpolation_pipeline(
             " with b > 0 (got %d, %d)" % (lam1, lam2)
         )
     m = len(selected)
-    columns = tuple(lam1 ** i * lam2 ** (m - i) for i in range(m + 1))
-    if len(set(columns)) != len(columns):
+    d = math.gcd(lam1, lam2)
+    mu1, mu2 = lam1 // d, lam2 // d
+    nodes = [mu1 ** i * mu2 ** (m - i) for i in range(m + 1)]
+    if len(set(nodes)) != len(nodes):
         raise RuntimeError(
             "internal: merged column values collided despite lambda1 > |lambda2|"
         )
-    weights = [_chain_weight(a, b, kappa, n) for n in range(1, m + 2)]
-    rows = count_weighted_assignments(g, kappa, selected, weights)
-    solution = solve_vandermonde(columns, rows)
-    total = sum(solution, Fraction(0))
+    weights = []
+    for n in range(1, m + 2):
+        x = mu1 ** n - mu2 ** n
+        weights.append((x + kappa * mu2 ** n, x))
+    reduced = count_weighted_assignments(g, kappa, selected, weights)
+    scaled = solve_vandermonde(nodes, reduced)
+    if any(y.denominator != 1 for y in scaled):
+        raise RuntimeError("internal: kappa^m times the solution is not integral")
+    scale = kappa ** m
+    total = sum(scaled, Fraction(0)) / scale
     if total.denominator != 1 or total < 0:
         raise RuntimeError("internal: recovered count %s is not a nonnegative integer" % total)
+    lift = d ** m
+    rows, factor = [], 1
+    for n, s in enumerate(reduced, 1):
+        factor *= lift
+        row, rest = divmod(factor * s, scale)
+        if rest:
+            raise RuntimeError("internal: row n=%d is not an integer" % n)
+        rows.append(row)
     return StratifiedSystem(
-        m, lam1, lam2, columns, tuple(rows), tuple(solution), int(total), derived
+        m,
+        lam1,
+        lam2,
+        tuple(lift * v for v in nodes),
+        tuple(rows),
+        tuple(y / scale for y in scaled),
+        int(total),
+        derived,
     )
 
 

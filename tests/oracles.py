@@ -7,6 +7,7 @@ library is the point of most tests, so the two sides share no code.
 """
 
 import itertools
+from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +177,51 @@ def matrix_power(a, n):
         base = matrix_mul(base, base)
         n >>= 1
     return result
+
+
+# ---------------------------------------------------------------------------
+# interpolation oracles
+
+
+def oracle_solve_vandermonde(nodes, rhs):
+    """sum_j x_j * nodes[j]^n = rhs[n-1] for n = 1..len(nodes), by O(len^3)
+    Gauss-Jordan elimination over Fractions."""
+    size = len(nodes)
+    aug = [
+        [Fraction(nodes[j]) ** (n + 1) for j in range(size)] + [Fraction(rhs[n])]
+        for n in range(size)
+    ]
+    for col in range(size):
+        pivot = next(row for row in range(col, size) if aug[row][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for row in range(size):
+            if row != col and aug[row][col] != 0:
+                factor = aug[row][col]
+                aug[row] = [v - factor * w for v, w in zip(aug[row], aug[col])]
+    return [aug[row][size] for row in range(size)]
+
+
+def oracle_interpolation(a, b, kappa, m, weighted):
+    """The kappa > r interpolation in full terms, with nothing divided out.
+
+    Row n = 1..m+1 is weighted(weights)[n-1], where weights holds each
+    chain's edge weight (alpha_n, beta_n), read off the n-th power of the
+    signature matrix a*I + b*(J - I); weighted is any counter of the
+    Holant with alpha*I + beta*(J - I) on the m chained edges. The columns
+    are lambda1^i * lambda2^(m-i), and the system is solved by elimination.
+    Returns (lambda1, lambda2, columns, rows, solution, count).
+    """
+    lam1, lam2 = a + (kappa - 1) * b, a - b
+    columns = tuple(lam1 ** i * lam2 ** (m - i) for i in range(m + 1))
+    weights = []
+    for n in range(1, m + 2):
+        power = matrix_power(signature_matrix(a, b, kappa), n)
+        weights.append((power[0][0], power[0][1]))
+    rows = tuple(weighted(weights))
+    solution = tuple(oracle_solve_vandermonde(columns, rows))
+    return lam1, lam2, columns, rows, solution, sum(solution)
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,23 @@ def test_interpolate_refuses_equal_palette_gadget(capsys, b3_file):
     assert "palette-equal reduction" in err
 
 
+def test_interpolate_refuses_a_packing_over_the_cap(capsys, tmp_path):
+    # every edge of a 400-cycle chained: the weighted count's multiplicities
+    # would be 401 strata wide, over a million bits
+    target = tmp_path / "c400.txt"
+    target.write_text(MultiGraph(400, [(i, (i + 1) % 400) for i in range(400)]).render())
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys,
+        "interpolate", "--input", str(target), "--kappa", "4", "--gadget", "fnp:4:3",
+        "--selector", "all",
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 3 and out == ""
+    assert "m=400" in err and "above the cap of 1048576 bits" in err
+    assert "Traceback" not in err
+
+
 def test_interpolate_renders_rows_past_the_digit_limit(capsys, tmp_path):
     # A 40-cycle with every other edge doubled: 40 chained edges, and rows
     # longer than the 4300 digits str() converts by default.

@@ -27,8 +27,10 @@ from edgecolorkit import (
     simplify_equal_case,
     verify_key_property,
 )
+from edgecolorkit import counting
 from edgecolorkit.counting import (
     MAX_KAPPA,
+    MAX_PACKED_BITS,
     _best_plan,
     _bfs_order,
     _cost,
@@ -268,6 +270,32 @@ def test_kappa_over_the_cap_is_refused_before_building(call):
     # entries
     with pytest.raises(PreconditionError, match="exceeds the cap of"):
         call()
+
+
+def _packed_bits(edge_count, m, kappa):
+    return ((edge_count + m) * kappa.bit_length() + m + 1) * (m + 1)
+
+
+def test_weighted_packing_over_the_cap_is_refused_before_planning(monkeypatch):
+    # 400 selected edges of a 400-cycle at kappa 4: 401 strata of 2801 bits
+    def no_plan(*args):
+        raise AssertionError("planned a refused count")
+
+    monkeypatch.setattr(counting, "_best_plan", no_plan)
+    width = _packed_bits(400, 400, 4)
+    assert width == 1123201 > MAX_PACKED_BITS
+    message = "m=400 selected edges packs %d-bit multiplicities, above the cap of %d bits" % (
+        width, MAX_PACKED_BITS
+    )
+    with pytest.raises(PreconditionError, match=message):
+        count_weighted_assignments(cycle(400), 4, range(400), [(1, 0)])
+
+
+def test_weighted_packing_cap_is_far_above_the_largest_rings():
+    # the 40-vertex bundle ring (60 edges, m = 40) at kappa 4, and the
+    # icosahedron with all 30 edges chained at kappa 6
+    assert _packed_bits(60, 40, 4) == 13981
+    assert 50 * max(_packed_bits(60, 40, 4), _packed_bits(30, 30, 6)) < MAX_PACKED_BITS
 
 
 # ---------------------------------------------------------------------------

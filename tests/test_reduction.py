@@ -1,10 +1,11 @@
 """Equal-palette reduction, gadget selection, interpolation pipeline."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgecolorkit import reduction
@@ -16,10 +17,12 @@ from edgecolorkit import (
     build_h3,
     check_certificate,
     count_assignments,
+    count_weighted_assignments,
     cross_validate_omega_n,
     decompose_extension,
     derive_distinct_diagonal,
     interpolation_pipeline,
+    parse_gadget_name,
     select_gadget,
     simplify_equal_case,
     solve_vandermonde,
@@ -27,7 +30,7 @@ from edgecolorkit import (
 )
 
 from corpus import bundle, c4_gadget, complete, cycle, path, petersen_open_spec
-from oracles import random_regular_multigraph
+from oracles import oracle_interpolation, oracle_solve_vandermonde, random_regular_multigraph
 
 
 # ---------------------------------------------------------------------------
@@ -277,25 +280,6 @@ def test_solve_dual_on_small_and_zero_systems(nodes):
     assert reduction._solve_dual(nodes, rhs) == _fraction_dual(nodes, rhs)
 
 
-def _gauss_jordan_vandermonde(nodes, rhs):
-    """The O(m^3) Fraction elimination solve_vandermonde used to run."""
-    size = len(nodes)
-    aug = [
-        [Fraction(nodes[j]) ** (n + 1) for j in range(size)] + [Fraction(rhs[n])]
-        for n in range(size)
-    ]
-    for col in range(size):
-        pivot = next(row for row in range(col, size) if aug[row][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for row in range(size):
-            if row != col and aug[row][col] != 0:
-                factor = aug[row][col]
-                aug[row] = [v - factor * w for v, w in zip(aug[row], aug[col])]
-    return [aug[row][size] for row in range(size)]
-
-
 def test_solve_vandermonde_matches_elimination_at_ring_size():
     # The 40-vertex bundle ring at kappa 4 with fnp:4:3: lambda = (864, 64),
     # m = 40, nodes of up to 391 bits. Noise on the right-hand side makes
@@ -311,7 +295,7 @@ def test_solve_vandermonde_matches_elimination_at_ring_size():
     ]
     solved = solve_vandermonde(nodes, rhs)
     assert any(x.denominator != 1 for x in solved)
-    assert solved == _gauss_jordan_vandermonde(nodes, rhs)
+    assert solved == oracle_solve_vandermonde(nodes, rhs)
 
 
 def test_solve_vandermonde_substitution_catches_a_wrong_solve(monkeypatch):
@@ -408,6 +392,108 @@ def test_pipeline_refuses_zero_signature():
 def test_pipeline_refuses_degenerate_b_zero():
     with pytest.raises(PreconditionError, match="palette-equal reduction"):
         interpolation_pipeline(bundle(3), 3, build_h3().gadget)
+
+
+# h3, h4, fnp:4:3 and fnp:5:4 one to three colors above r (h3 and h4 at
+# kappa 6 have lambda2 < 0), and c4 at kappa 3, whose a = b makes the
+# pipeline derive
+_GADGETS = {"c4": c4_gadget()}
+_GADGETS.update((name, parse_gadget_name(name).gadget) for name in ("h3", "h4", "fnp:4:3", "fnp:5:4"))
+PIPELINE_CASES = [
+    (name, r + k) for name, r in (("h3", 3), ("h4", 4), ("fnp:4:3", 3), ("fnp:5:4", 4))
+    for k in (1, 2, 3)
+] + [("c4", 3)]
+
+
+@functools.cache
+def _signature_used(name, kappa):
+    """(derived, (a, b)) of the gadget the pipeline should chain."""
+    gadget = _GADGETS[name]
+    a, b = decompose_extension(gadget, kappa)
+    derived = a == b != 0
+    if derived:
+        a, b = decompose_extension(reduction._derived_gadget(gadget), kappa)
+    return derived, (a, b)
+
+
+def test_pipeline_matches_the_unreduced_oracle():
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        case=st.sampled_from(PIPELINE_CASES),
+        everything=st.booleans(),
+        edges=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: e[0] != e[1]),
+            max_size=6,
+        ),
+    )
+    @example(case=("c4", 3), everything=False, edges=[(0, 1), (0, 1), (1, 2)])
+    @example(case=("h3", 6), everything=True, edges=[(0, 1), (1, 2), (1, 2)])
+    @example(case=("h4", 5), everything=False, edges=[(0, 1), (1, 2)])
+    def check(case, everything, edges):
+        name, kappa = case
+        g = MultiGraph(5, edges)
+        selected = range(g.edge_count) if everything else None
+        system = interpolation_pipeline(g, kappa, _GADGETS[name], selected)
+        chained = g.edge_indices(range(g.edge_count)) if everything else g.parallel_edge_indices()
+        derived, (a, b) = _signature_used(name, kappa)
+        lam1, lam2, columns, rows, solution, count = oracle_interpolation(
+            a, b, kappa, len(chained),
+            lambda weights: count_weighted_assignments(g, kappa, chained, weights),
+        )
+        assert system == reduction.StratifiedSystem(
+            len(chained), lam1, lam2, columns, rows, solution, count, derived
+        )
+        assert count == count_assignments(g, kappa)
+        seen.update(
+            label for label, hit in (
+                ("lambda2 < 0", lam2 < 0), ("derived", derived), ("m = 0", not chained)
+            ) if hit
+        )
+
+    check()
+    assert seen == {"lambda2 < 0", "derived", "m = 0"}
+
+
+def _ring(n):
+    """A cycle on n vertices with every other edge doubled: m = n parallel
+    edges."""
+    edges = []
+    for i in range(n):
+        edges += [(i, (i + 1) % n)] * (2 - i % 2)
+    return MultiGraph(n, edges)
+
+
+@pytest.mark.parametrize(
+    "g, kappa, name",
+    [(bundle(3), 4, "h3"), (bundle(2), 6, "h3"), (bundle(3), 6, "h4"), (_ring(12), 4, "fnp:4:3"),
+     (_ring(8), 5, "fnp:5:4"), (bundle(2), 3, "c4")],
+)
+def test_pipeline_solution_satisfies_the_reported_system(g, kappa, name):
+    system = interpolation_pipeline(g, kappa, _GADGETS[name])
+    scale = kappa ** system.m
+    assert all(scale % x.denominator == 0 for x in system.solution)
+    # every reported equation, exactly, over the common denominator kappa^m
+    terms = [x.numerator * (scale // x.denominator) for x in system.solution]
+    for row in system.rows:
+        terms = [t * c for t, c in zip(terms, system.column_values)]
+        assert sum(terms) == scale * row
+    assert sum(system.solution) == system.recovered == count_assignments(g, kappa)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pipeline_refuses_a_perturbed_reduced_row(monkeypatch, n):
+    count = reduction.count_weighted_assignments
+
+    def off_by_one(g, kappa, selected, weights):
+        rows = count(g, kappa, selected, weights)
+        rows[n - 1] += 1
+        return rows
+
+    monkeypatch.setattr(reduction, "count_weighted_assignments", off_by_one)
+    with pytest.raises(RuntimeError, match="^internal: "):
+        interpolation_pipeline(bundle(3), 4, build_h3().gadget)
 
 
 # ---------------------------------------------------------------------------
