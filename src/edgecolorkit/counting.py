@@ -346,10 +346,20 @@ def count_weighted_assignments(
     color and beta when they differ. Every other edge is an ordinary edge.
     This is the Holant of g with the binary signature alpha*I + beta*(J - I)
     placed on each selected edge, and (1, 0) gives count_assignments. All
-    weights share one plan. selected is checked by g.edge_indices. The run
-    packs m + 1 strata of (E + m) * bits(kappa) + m + 1 bits into each
-    multiplicity (E edges, m selected), a width quadratic in m; above
-    MAX_PACKED_BITS it is refused before the plan is built.
+    weights share one engine run (_weighted_strata), and _stratum_rows
+    evaluates each of them on its strata.
+    """
+    return _stratum_rows(_weighted_strata(g, kappa, selected), weights)
+
+
+def _weighted_strata(g: MultiGraph, kappa: int, selected: Sequence[int]) -> list[int]:
+    """M_0..M_m: M_j counts the colorings of g with j selected edges in
+    [same] and the other m - j in [any], from one engine run.
+
+    selected is checked by g.edge_indices. The run packs m + 1 strata of
+    (E + m) * bits(kappa) + m + 1 bits into each multiplicity (E edges, m
+    selected), a width quadratic in m; above MAX_PACKED_BITS it is refused
+    before the plan is built.
     """
     if isinstance(g, GadgetGraph):
         raise PreconditionError("gadget graphs are counted via count_extensions")
@@ -357,9 +367,9 @@ def count_weighted_assignments(
         raise PreconditionError("kappa must be nonnegative")
     selected = frozenset(g.edge_indices(selected))
     inc = g.incidence_lists()
-    if kappa < max(map(len, inc), default=0):
-        return [0] * len(weights)
     m = len(selected)
+    if kappa < max(map(len, inc), default=0):
+        return [0] * (m + 1)
     shift = (len(g.edges) + m) * kappa.bit_length() + m + 1
     if shift * (m + 1) > MAX_PACKED_BITS:
         raise PreconditionError(
@@ -374,8 +384,7 @@ def count_weighted_assignments(
     # carries: a [same] edge takes one color and an [any] edge two, so with
     # E edges M_j <= C(m, j) kappa^(E + m - j) <= 2^m kappa^(E + m) < 2^shift.
     packed = _run(steps, tuple(_idle(kappa)), 1 << shift)
-    strata = [packed >> (j * shift) & ((1 << shift) - 1) for j in range(m + 1)]
-    return _stratum_rows(strata, weights)
+    return [packed >> (j * shift) & ((1 << shift) - 1) for j in range(m + 1)]
 
 
 def _stratum_rows(strata: Sequence[int], weights: Sequence[tuple[int, int]]) -> list[int]:
@@ -606,6 +615,12 @@ def partition_spectrum(g: MultiGraph, kappa: int) -> PartitionSpectrum:
 def _count_partitions_capped(g: MultiGraph, kappa: int, limit: int) -> int:
     """Number of partitions of the edge set into at most kappa matchings,
     counted in canonical first-fit order and cut off once limit is reached.
+
+    The search places the edges in _bfs_order (from a minimum-degree
+    vertex), so edges that share a vertex are placed close together and a
+    conflict ends a branch soon after it arises; in input order a dead end
+    could be found only many edges after its cause. A partition is a set of
+    classes, so the count does not depend on the order.
     """
     edges = g.edges
     n = len(edges)
@@ -614,7 +629,9 @@ def _count_partitions_capped(g: MultiGraph, kappa: int, limit: int) -> int:
     max_class = g.vertex_count // 2
     if max_class == 0 or n > kappa * max_class:
         return 0
-    ends = [1 << a | 1 << b for a, b in edges]
+    inc = g.incidence_lists()
+    starts = sorted((w for w in range(len(inc)) if inc[w]), key=lambda w: len(inc[w]))
+    ends = [1 << edges[e][0] | 1 << edges[e][1] for e in _bfs_order(edges, inc, starts)[0]]
     classes: list[int] = []  # the vertex mask of each class
     placed = [0] * n  # the class of each placed edge
     found = i = c = 0  # i: the next edge to place, c: the first class to try

@@ -17,25 +17,29 @@ x_0..x_m with
 
     Holant(Omega_n) = sum_i x_i * (lambda1^i * lambda2^(m-i))^n
 
-for n = 1..m+1: a Vandermonde system in the merged column values. Solved
-exactly over the rationals, the unknowns sum to the original count. With
-a = b != 0 the columns collide (lambda2 = 0): the pipeline derives first.
+for n = 1..m+1: a Vandermonde system in the merged column values, whose
+unknowns sum to the original count. With a = b != 0 the columns collide
+(lambda2 = 0): the pipeline derives first.
 
 The rows never build the chains. A^n = alpha_n*I + beta_n*(J - I) with
 beta_n = (lambda1^n - lambda2^n) / kappa and alpha_n = beta_n + lambda2^n,
-so row n is a weighted count of g on the frontier engine
-(count_weighted_assignments), and one engine run serves every row;
-cross_validate_omega_n checks the same weights on explicit chains. The
-system is solved in lowest terms: lambda1 and lambda2 share d = their gcd,
-and row n and every column carry the known factors d^(n*m) and d^m, so
-the engine weights and the Vandermonde nodes are taken over
-mu = lambda / d, with the unknowns scaled to the integers kappa^m * x_i
-(interpolation_pipeline has the identity). That system is solved by
-Björck and Pereyra's O(m^2) algorithm, whose sweeps both stay in integers
-while every division is exact (Fractions take over at the first one that
-is not), and the solution is substituted back into every equation before
-it is used. The reported rows, columns and solution are rebuilt from it
-exactly.
+so row n is a weighted count of g on the frontier engine, and one engine
+run serves every row: it returns the strata M_0..M_m, M_j the colorings
+with j edges of F ordinary and the other m - j cut into two halves colored
+on their own, and every row is a polynomial in them.
+cross_validate_omega_n checks the same weights on explicit chains.
+
+The system is taken in lowest terms: lambda1 and lambda2 share d = their
+gcd, and row n and every column carry the known factors d^(n*m) and d^m,
+so the weights and the nodes are taken over mu = lambda / d, with the
+unknowns scaled to kappa^m * x_i. The strata fix those unknowns in closed
+form, a binomial transform with integer coefficients, so nothing is
+solved: the solution is substituted into every reduced equation before it
+is used, and the recovered count is M_m, the colorings with F left
+ordinary (interpolation_pipeline has the identities). The reported rows,
+columns and solution are rebuilt from it exactly. solve_vandermonde, by
+Björck and Pereyra's O(m^2) algorithm, solves such a system when only its
+rows are known.
 """
 
 from __future__ import annotations
@@ -45,7 +49,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .counting import count_assignments, count_extensions, count_weighted_assignments, decompose_extension
+from .counting import (
+    _stratum_rows,
+    _weighted_strata,
+    count_assignments,
+    count_extensions,
+    count_weighted_assignments,
+    decompose_extension,
+)
 from .errors import KeyPropertyError, PreconditionError
 from .gadgets import (
     GadgetSpec,
@@ -161,8 +172,8 @@ class StratifiedSystem:
     rows, merged eigenvalue products lambda1^i * lambda2^(m-i) across the
     columns, exact rational solution, the recovered count (the sum of the
     unknowns), and whether the chains were built from the gadget
-    derive_distinct_diagonal makes of the one passed in. The system is
-    solved in lowest terms (gcd(lambda1, lambda2) divided out); rows,
+    derive_distinct_diagonal makes of the one passed in. The solution is
+    read off in lowest terms (gcd(lambda1, lambda2) divided out); rows,
     columns and solution are the unreduced system's, rebuilt exactly, and
     every solution denominator divides kappa^m."""
 
@@ -213,7 +224,7 @@ def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int]) -> list[Fraction
     node would contribute nothing to any equation). The y_j = x_j * nodes[j]
     solve a Vandermonde system with exponents from 0, which _solve_dual
     solves in O(len^2). The solution is then substituted back into every
-    equation, and a mismatch raises RuntimeError.
+    equation (_substitute), and a mismatch raises RuntimeError.
     """
     if len(nodes) != len(rhs):
         raise PreconditionError(
@@ -225,7 +236,15 @@ def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int]) -> list[Fraction
     if any(v == 0 for v in nodes):
         raise PreconditionError("interpolation nodes must be nonzero")
     solution = [y / node for y, node in zip(_solve_dual(nodes, rhs), nodes)]
-    # substitute over the common denominator, in integers
+    _substitute(nodes, rhs, solution)
+    return solution
+
+
+def _substitute(nodes: Sequence[int], rhs: Sequence[int], solution: Sequence) -> None:
+    """Check sum_j solution[j] * nodes[j]^n = rhs[n-1] for every n =
+    1..len(nodes), exactly: over the solution's common denominator, in
+    integers (ints and Fractions both serve). A mismatch raises
+    RuntimeError."""
     den = math.lcm(*(x.denominator for x in solution))
     terms = [x.numerator * (den // x.denominator) for x in solution]
     for n, value in enumerate(rhs, 1):
@@ -234,7 +253,22 @@ def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int]) -> list[Fraction
             raise RuntimeError(
                 "internal: Vandermonde solution fails equation n=%d on substitution" % n
             )
-    return solution
+
+
+def _strata_solution(strata: Sequence[int], kappa: int) -> list[int]:
+    """The reduced unknowns y_0..y_m read off the strata M_0..M_m:
+
+        y_i = sum_{j <= m-i} (-1)^(m-j-i) * C(m-j, i) * kappa^j * M_j.
+
+    With c_t = kappa^(m-t) * M_(m-t), y_i is the coefficient of z^i in
+    sum_t c_t * (z - 1)^t, so a Taylor shift by -1 (Horner's scheme
+    repeated, m(m+1)/2 subtractions) computes them all."""
+    m = len(strata) - 1
+    y = [kappa ** (m - t) * strata[m - t] for t in range(m + 1)]
+    for i in range(m):
+        for t in range(m - 1, i - 1, -1):
+            y[t] -= y[t + 1]
+    return y
 
 
 def _chain_weight(a: int, b: int, kappa: int, n: int) -> tuple[int, int]:
@@ -265,34 +299,40 @@ def interpolation_pipeline(
     with m = 0 and multigraphs touch only what they must). Each row n is
     the Holant of g with the gadget chain's matrix A^n placed on F, which
     counts colorings of the n-chain-replaced graph without building it: a
-    weighted count on the frontier engine, with the closed-form weight
-    (alpha_n, beta_n) of A^n on each edge of F, all rows from one plan.
+    weighted count with the closed-form weight (alpha_n, beta_n) of A^n on
+    each edge of F. One engine run (_weighted_strata) gives the strata
+    M_0..M_m, M_j the colorings that put j edges of F in [same] and the
+    rest in [any], and every row is a polynomial in them.
 
-    The rows and columns share a known factor, so the engine and the solve
-    run on the system in lowest terms. Let d = gcd(lambda1, lambda2),
-    mu1 = lambda1 / d and mu2 = lambda2 / d (mu2 may be negative), and
-    X_n = mu1^n - mu2^n. Then beta_n = d^n X_n / kappa and
-    alpha_n - beta_n = lambda2^n = d^n mu2^n, so with M_j the colorings
-    that put j edges of F in [same] (count_weighted_assignments),
+    The rows and columns share a known factor, so the system is taken in
+    lowest terms. Let d = gcd(lambda1, lambda2), mu1 = lambda1 / d and
+    mu2 = lambda2 / d (mu2 may be negative), and X_n = mu1^n - mu2^n. Then
+    beta_n = d^n X_n / kappa and alpha_n - beta_n = lambda2^n = d^n mu2^n,
+    so
 
         r_n = sum_j M_j (alpha_n - beta_n)^j beta_n^(m-j)
             = d^(n*m) / kappa^m * sum_j M_j (kappa mu2^n)^j X_n^(m-j)
             = d^(n*m) * S_n / kappa^m,
 
-    and S_n is one engine run with the weights (X_n + kappa mu2^n, X_n).
+    with S_n from _stratum_rows and the weights (X_n + kappa mu2^n, X_n).
     Column i is d^m * nu_i with nu_i = mu1^i * mu2^(m-i), so dividing
     equation n by d^(n*m) / kappa^m leaves
 
         sum_i y_i * nu_i^n = S_n,  y_i = kappa^m * x_i.
 
-    The y_i are integers: expanding A^n = lambda1^n J/kappa +
-    lambda2^n (I - J/kappa) over the edges of F makes kappa^m x_i a sum of
-    Holants with integer signatures J and kappa*I - J. solve_vandermonde
-    solves for y by Björck and Pereyra's algorithm and substitutes it back
-    into every reduced equation; x_i = y_i / kappa^m, and r_n is rebuilt
-    by an exact division. A fractional y_i, a remainder in a row, or a
-    recovered count that is not a nonnegative integer is an internal
-    error, not rounded away.
+    Expanding X_n^(m-j) binomially in mu1^n and mu2^n writes S_n in the
+    powers nu_i^n, which gives the solution in closed form:
+
+        y_i = sum_{j <= m-i} (-1)^(m-j-i) C(m-j, i) kappa^j M_j,
+
+    integers by construction (_strata_solution). The nodes are distinct
+    and nonzero, so this is the system's only solution; it is still
+    substituted into every reduced equation before it is used. The y_i sum
+    to kappa^m M_m, since sum_i C(m-j, i) (-1)^(m-j-i) = 0 unless j = m:
+    the recovered count is M_m, the colorings with every edge of F an
+    ordinary edge. x_i = y_i / kappa^m, and r_n is rebuilt by an exact
+    division. A failed substitution, a remainder in a row, or unknowns
+    that do not sum to kappa^m M_m is an internal error.
     """
     selected = g.parallel_edge_indices() if selected is None else g.edge_indices(selected)
     a, b = decompose_extension(gadget, kappa)
@@ -329,14 +369,13 @@ def interpolation_pipeline(
     for n in range(1, m + 2):
         x = mu1 ** n - mu2 ** n
         weights.append((x + kappa * mu2 ** n, x))
-    reduced = count_weighted_assignments(g, kappa, selected, weights)
-    scaled = solve_vandermonde(nodes, reduced)
-    if any(y.denominator != 1 for y in scaled):
-        raise RuntimeError("internal: kappa^m times the solution is not integral")
+    strata = _weighted_strata(g, kappa, selected)
+    reduced = _stratum_rows(strata, weights)
+    scaled = _strata_solution(strata, kappa)
+    _substitute(nodes, reduced, scaled)
     scale = kappa ** m
-    total = sum(scaled, Fraction(0)) / scale
-    if total.denominator != 1 or total < 0:
-        raise RuntimeError("internal: recovered count %s is not a nonnegative integer" % total)
+    if sum(scaled) != scale * strata[-1]:
+        raise RuntimeError("internal: the unknowns do not sum to kappa^m * M_m")
     lift = d ** m
     rows, factor = [], 1
     for n, s in enumerate(reduced, 1):
@@ -351,8 +390,8 @@ def interpolation_pipeline(
         lam2,
         tuple(lift * v for v in nodes),
         tuple(rows),
-        tuple(y / scale for y in scaled),
-        int(total),
+        tuple(Fraction(y, scale) for y in scaled),
+        strata[-1],
         derived,
     )
 

@@ -910,3 +910,38 @@ def test_classifier_on_long_path_does_not_recurse():
     # the partition search is iterative: one level per edge would overflow
     # the interpreter's recursion limit here
     assert not is_uniquely_partition_colorable(path(1500), 4)
+
+
+def _fat_triangle(edge_count, vertex_count):
+    """edge_count edges spread over the three sides of a triangle on
+    vertices 0, 1, 2, plus isolated vertices up to vertex_count. Every two
+    edges share a vertex, so the only partition is into singletons."""
+    sides = [(0, 1), (1, 2), (0, 2)]
+    return MultiGraph(vertex_count, [sides[i % 3] for i in range(edge_count)])
+
+
+def test_classifier_is_invariant_under_edge_order():
+    rng = random.Random(1416)
+    cases = []
+    while len(cases) < 30:
+        vc, edges = random_multigraph(rng, rng.randint(8, 10), rng.randint(14, 16))
+        kappa = rng.choice((4, 5))
+        # within the size bound, so the search decides, not the early exit
+        if len(edges) <= kappa * (vc // 2):
+            cases.append((MultiGraph(vc, edges), kappa))
+    # one partition (kappa >= |E|), and none although within the size bound
+    cases += [(_fat_triangle(n, 3), 16) for n in (14, 15, 16)]
+    cases += [(_fat_triangle(n, 6), n - 1) for n in (14, 15, 16)]
+    seen = set()
+    for g, kappa in cases:
+        found = _count_partitions_capped(g, kappa, 2)
+        unique = is_uniquely_partition_colorable(g, kappa)
+        assert unique == (found == 1)
+        seen.add(found)
+        for _ in range(8):
+            edges = [e if rng.random() < 0.5 else e[::-1] for e in g.edges]
+            rng.shuffle(edges)
+            shuffled = MultiGraph(g.vertex_count, edges)
+            assert _count_partitions_capped(shuffled, kappa, 2) == found, (g.edges, kappa)
+            assert is_uniquely_partition_colorable(shuffled, kappa) == unique
+    assert seen == {0, 1, 2}

@@ -1,6 +1,7 @@
 """Equal-palette reduction, gadget selection, interpolation pipeline."""
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgecolorkit import reduction
+from edgecolorkit import counting, reduction
 from edgecolorkit import (
     GadgetGraph,
     KeyPropertyError,
@@ -484,16 +485,88 @@ def test_pipeline_solution_satisfies_the_reported_system(g, kappa, name):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pipeline_refuses_a_perturbed_reduced_row(monkeypatch, n):
-    count = reduction.count_weighted_assignments
+    # the reduced rows that the solution read off the strata is checked against
+    rows = reduction._stratum_rows
 
-    def off_by_one(g, kappa, selected, weights):
-        rows = count(g, kappa, selected, weights)
-        rows[n - 1] += 1
-        return rows
+    def off_by_one(strata, weights):
+        out = rows(strata, weights)
+        out[n - 1] += 1
+        return out
 
-    monkeypatch.setattr(reduction, "count_weighted_assignments", off_by_one)
+    monkeypatch.setattr(reduction, "_stratum_rows", off_by_one)
     with pytest.raises(RuntimeError, match="^internal: "):
         interpolation_pipeline(bundle(3), 4, build_h3().gadget)
+
+
+@pytest.mark.parametrize("i", [0, 1, 2, 3])
+def test_pipeline_substitution_refuses_a_changed_solution_entry(monkeypatch, i):
+    solve = reduction._strata_solution
+
+    def off_by_one(strata, kappa):
+        y = solve(strata, kappa)
+        y[i] += 1
+        return y
+
+    monkeypatch.setattr(reduction, "_strata_solution", off_by_one)
+    with pytest.raises(RuntimeError, match="^internal: .*substitution"):
+        interpolation_pipeline(bundle(3), 4, build_h3().gadget)
+
+
+def _reduced_system(strata, kappa, mu1, mu2):
+    """The pipeline's reduced nodes and rows S_n for the given strata."""
+    m = len(strata) - 1
+    nodes = [mu1 ** i * mu2 ** (m - i) for i in range(m + 1)]
+    weights = [
+        (mu1 ** n - mu2 ** n + kappa * mu2 ** n, mu1 ** n - mu2 ** n) for n in range(1, m + 2)
+    ]
+    return nodes, reduction._stratum_rows(strata, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+@example(data=None)
+def test_strata_solution_solves_the_reduced_system(data):
+    if data is None:  # m = 12, every stratum zero, mu2 < 0
+        kappa, mu1, mu2, strata = 7, 9, -8, [0] * 13
+    else:
+        size = data.draw(st.integers(min_value=1, max_value=13))
+        kappa = data.draw(st.integers(min_value=1, max_value=10 ** 6))
+        mu1 = data.draw(st.integers(min_value=2, max_value=40))
+        mu2 = data.draw(st.integers(min_value=1 - mu1, max_value=mu1 - 1).filter(bool))
+        stratum = st.one_of(st.just(0), st.integers(min_value=0, max_value=2 ** 200))
+        strata = data.draw(st.lists(stratum, min_size=size, max_size=size))
+    m = len(strata) - 1
+    nodes, rows = _reduced_system(strata, kappa, mu1, mu2)
+    y = reduction._strata_solution(strata, kappa)
+    assert all(type(v) is int for v in y)
+    assert y == solve_vandermonde(nodes, rows) == oracle_solve_vandermonde(nodes, rows)
+    # the closed form, term by term
+    assert y == [
+        sum((-1) ** (m - j - i) * math.comb(m - j, i) * kappa ** j * strata[j]
+            for j in range(m - i + 1))
+        for i in range(m + 1)
+    ]
+    assert sum(y) == kappa ** m * strata[-1]
+
+
+def test_pipeline_runs_the_engine_once_past_the_signature_and_solves_nothing(monkeypatch):
+    g, kappa, gadget = _ring(12), 4, _GADGETS["fnp:4:3"]
+    count = count_assignments(g, kappa)
+    runs = []
+    engine = counting._run
+    monkeypatch.setattr(counting, "_run", lambda *args: runs.append(1) or engine(*args))
+    decompose_extension(gadget, kappa)
+    signature_runs = len(runs)
+
+    def refuse(*args):
+        raise AssertionError("the pipeline solved a Vandermonde system")
+
+    monkeypatch.setattr(reduction, "solve_vandermonde", refuse)
+    monkeypatch.setattr(reduction, "_solve_dual", refuse)
+    runs.clear()
+    system = interpolation_pipeline(g, kappa, gadget)
+    assert system.m == 12 and system.recovered == count
+    assert signature_runs == 2 and len(runs) == signature_runs + 1
 
 
 # ---------------------------------------------------------------------------
