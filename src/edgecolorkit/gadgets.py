@@ -27,11 +27,10 @@ MAX_MATRIX_KAPPA = 1000
 
 @dataclass(frozen=True)
 class GadgetSpec:
-    """A validated gadget: name, native palette size, regularity, a
-    planarity claim (advisory, never verified here), and the graph."""
+    """A validated gadget: name, regularity, a planarity claim (advisory,
+    never verified here), and the graph."""
 
     name: str
-    kappa: int
     r: int
     planar_claimed: bool
     gadget: GadgetGraph
@@ -93,7 +92,7 @@ def verify_key_property(spec: GadgetSpec, kappa: int) -> KeyPropertyReport:
 def build_h3() -> GadgetSpec:
     """K4 minus one edge; danglers at the two vertices that lost it."""
     base = MultiGraph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    return GadgetSpec("h3", 3, 3, True, GadgetGraph(base, (0, 1)))
+    return GadgetSpec("h3", 3, True, GadgetGraph(base, (0, 1)))
 
 
 def build_h4() -> GadgetSpec:
@@ -111,7 +110,7 @@ def build_h4() -> GadgetSpec:
             (3, 4), (3, 5),
         ],
     )
-    return GadgetSpec("h4", 4, 4, True, GadgetGraph(base, (0, 3)))
+    return GadgetSpec("h4", 4, True, GadgetGraph(base, (0, 3)))
 
 
 _ICOSAHEDRON_EDGES = (
@@ -137,7 +136,7 @@ def icosahedron_graph() -> MultiGraph:
 def build_h5_icosahedron() -> GadgetSpec:
     """Icosahedron minus the edge (0, 1); danglers at 0 and 1."""
     base = MultiGraph(12, _ICOSAHEDRON_EDGES[1:])
-    return GadgetSpec("h5", 5, 5, True, GadgetGraph(base, (0, 1)))
+    return GadgetSpec("h5", 5, True, GadgetGraph(base, (0, 1)))
 
 
 def build_matchings(kappa: int, n: Optional[int] = None) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -233,7 +232,7 @@ def build_h_star(kappa: int, n: Optional[int] = None) -> GadgetSpec:
         raise RuntimeError("internal: first matching edge expected to be (0, 1)")
     base = MultiGraph(size, edges[1:])
     name = "hstar:%d:%d" % (kappa, size)
-    return GadgetSpec(name, kappa, kappa, False, GadgetGraph(base, (0, 1)))
+    return GadgetSpec(name, kappa, False, GadgetGraph(base, (0, 1)))
 
 
 @dataclass(frozen=True)
@@ -279,11 +278,16 @@ def build_f_nonplanar(kappa: int, r: int) -> tuple[GadgetSpec, WitnessColoring]:
     at both hubs. The witness colors hub edges by their spoke index, block
     edge (i, j) by (i + j) mod r, and both danglers 0; it shows a > 0 at
     any kappa >= r: a coloring exists with equal dangler colors, and the
-    construction is color-symmetric.
+    construction is color-symmetric. The r^2 - 1 edges may not exceed
+    MAX_VERTICES, checked before any list is built.
     """
     if not (kappa > r >= 3):
         raise PreconditionError(
             "construction needs kappa > r >= 3 (got kappa=%d, r=%d)" % (kappa, r)
+        )
+    if r * r - 1 > MAX_VERTICES:
+        raise PreconditionError(
+            "edge count r^2-1=%d exceeds the cap of %d edges" % (r * r - 1, MAX_VERTICES)
         )
     hub_u = r - 1
     hub_v = 2 * r - 1
@@ -300,9 +304,7 @@ def build_f_nonplanar(kappa: int, r: int) -> tuple[GadgetSpec, WitnessColoring]:
             edges.append((i - 1, r + j - 1))
             colors.append((i + j) % r)
     base = MultiGraph(2 * r, edges)
-    spec = GadgetSpec(
-        "fnp:%d:%d" % (kappa, r), kappa, r, False, GadgetGraph(base, (hub_u, hub_v))
-    )
+    spec = GadgetSpec("fnp:%d:%d" % (kappa, r), r, False, GadgetGraph(base, (hub_u, hub_v)))
     witness = WitnessColoring(tuple(colors), (0, 0))
     if not check_witness(spec.gadget, kappa, witness):
         raise RuntimeError("internal: witness coloring is not proper")

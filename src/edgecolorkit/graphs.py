@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, Union
 from .errors import ParseError, PreconditionError
 
 # The most vertices a parsed graph may have; hstar caps its vertices and
-# its edges at the same number.
+# its edges at the same number, and fnp its edges.
 MAX_VERTICES = 10**6
 
 
@@ -112,49 +112,6 @@ class MultiGraph:
             if k and out[k - 1] == i:
                 raise PreconditionError("edge index %d selected twice" % i)
         return tuple(out)
-
-    def has_bridge(self) -> bool:
-        """True iff removing some single edge disconnects its component.
-
-        Standard lowpoint search; the traversal tracks the edge index used
-        to enter a vertex, so one member of a parallel pair serves as the
-        back edge for the other and parallel pairs are never bridges.
-        """
-        n = self.vertex_count
-        disc = [-1] * n
-        low = [0] * n
-        adj = self.incidence_lists()
-        timer = 0
-        for root in range(n):
-            if disc[root] != -1:
-                continue
-            # iterative DFS: (vertex, entering edge index, iterator position)
-            disc[root] = low[root] = timer
-            timer += 1
-            stack = [(root, -1, 0)]
-            while stack:
-                v, in_edge, ptr = stack.pop()
-                if ptr < len(adj[v]):
-                    stack.append((v, in_edge, ptr + 1))
-                    i = adj[v][ptr]
-                    if i == in_edge:
-                        continue
-                    a, b = self.edges[i]
-                    w = b if a == v else a
-                    if disc[w] == -1:
-                        disc[w] = low[w] = timer
-                        timer += 1
-                        stack.append((w, i, 0))
-                    else:
-                        low[v] = min(low[v], disc[w])
-                else:
-                    if in_edge != -1:
-                        a, b = self.edges[in_edge]
-                        parent = a if disc[a] < disc[b] else b
-                        low[parent] = min(low[parent], low[v])
-                        if low[v] > disc[parent]:
-                            return True
-        return False
 
     def render(self) -> str:
         lines = ["v %d" % self.vertex_count]

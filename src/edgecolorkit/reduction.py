@@ -37,9 +37,7 @@ form, a binomial transform with integer coefficients, so nothing is
 solved: the solution is substituted into every reduced equation before it
 is used, and the recovered count is M_m, the colorings with F left
 ordinary (interpolation_pipeline has the identities). The reported rows,
-columns and solution are rebuilt from it exactly. solve_vandermonde, by
-Björck and Pereyra's O(m^2) algorithm, solves such a system when only its
-rows are known.
+columns and solution are rebuilt from it exactly.
 """
 
 from __future__ import annotations
@@ -131,13 +129,6 @@ def recount_certificate(
     return count_g, count_g_prime, count_g_prime == cert.predicted_factor() * count_g
 
 
-def check_certificate(
-    g: MultiGraph, g_prime: MultiGraph, cert: ReductionCertificate
-) -> bool:
-    """Recount both sides and test the certified identity."""
-    return recount_certificate(g, g_prime, cert)[2]
-
-
 def select_gadget(kappa: int, r: int, want_planar: bool) -> GadgetSpec:
     """Pick a construction by palette size, regularity, and planarity need.
 
@@ -187,69 +178,13 @@ class StratifiedSystem:
     derived: bool
 
 
-def _solve_dual(nodes: Sequence[int], rhs: Sequence[int]) -> list[Fraction]:
-    """Björck and Pereyra's dual algorithm (Math. Comp. 24, 1970): the y
-    with sum_j y_j * nodes[j]^k = rhs[k] for k = 0..len(nodes)-1, in
-    O(len^2) exact operations. Both sweeps stay in integers while every
-    division is exact (divmod leaves no remainder); at the first inexact
-    one the vector turns into Fractions for the rest of the sweep, so a
-    non-integral system tests no remainder after that."""
-    size = len(nodes)
-    y = list(rhs)
-    for k in range(size - 1):
-        for i in range(size - 1, k, -1):
-            y[i] -= nodes[k] * y[i - 1]
-    exact = True
-    for k in range(size - 2, -1, -1):
-        for i in range(k + 1, size):
-            step = nodes[i] - nodes[i - k - 1]
-            if exact:
-                quotient, rest = divmod(y[i], step)
-                if not rest:
-                    y[i] = quotient
-                    continue
-                exact = False
-                y = [Fraction(v) for v in y]
-            y[i] /= step
-        for i in range(k, size - 1):
-            y[i] -= y[i + 1]
-    return [Fraction(v) for v in y] if exact else y
-
-
-def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int]) -> list[Fraction]:
-    """Solve sum_j x_j * nodes[j]^n = rhs[n-1] for n = 1..len(nodes),
-    exactly over the rationals.
-
-    Nodes must be distinct and nonzero (the exponent starts at 1, so a zero
-    node would contribute nothing to any equation). The y_j = x_j * nodes[j]
-    solve a Vandermonde system with exponents from 0, which _solve_dual
-    solves in O(len^2). The solution is then substituted back into every
-    equation (_substitute), and a mismatch raises RuntimeError.
-    """
-    if len(nodes) != len(rhs):
-        raise PreconditionError(
-            "need as many equations as unknowns (%d nodes, %d rhs values)"
-            % (len(nodes), len(rhs))
-        )
-    if len(set(nodes)) != len(nodes):
-        raise PreconditionError("interpolation nodes must be distinct")
-    if any(v == 0 for v in nodes):
-        raise PreconditionError("interpolation nodes must be nonzero")
-    solution = [y / node for y, node in zip(_solve_dual(nodes, rhs), nodes)]
-    _substitute(nodes, rhs, solution)
-    return solution
-
-
-def _substitute(nodes: Sequence[int], rhs: Sequence[int], solution: Sequence) -> None:
+def _substitute(nodes: Sequence[int], rhs: Sequence[int], solution: Sequence[int]) -> None:
     """Check sum_j solution[j] * nodes[j]^n = rhs[n-1] for every n =
-    1..len(nodes), exactly: over the solution's common denominator, in
-    integers (ints and Fractions both serve). A mismatch raises
-    RuntimeError."""
-    den = math.lcm(*(x.denominator for x in solution))
-    terms = [x.numerator * (den // x.denominator) for x in solution]
+    1..len(nodes), exactly in integers. A mismatch raises RuntimeError."""
+    terms = solution
     for n, value in enumerate(rhs, 1):
         terms = [t * node for t, node in zip(terms, nodes)]
-        if sum(terms) != den * value:
+        if sum(terms) != value:
             raise RuntimeError(
                 "internal: Vandermonde solution fails equation n=%d on substitution" % n
             )

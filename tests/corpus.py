@@ -68,7 +68,7 @@ def petersen_open_spec():
     so it fails the key property with a=0."""
     g = petersen()
     edges = [e for e in g.edges if e != (0, 1)]
-    return GadgetSpec("petersen-open", 3, 3, True, GadgetGraph(MultiGraph(10, edges), (0, 1)))
+    return GadgetSpec("petersen-open", 3, True, GadgetGraph(MultiGraph(10, edges), (0, 1)))
 
 
 def c4_gadget():

@@ -292,33 +292,6 @@ def oracle_is_connected(vertex_count, edges):
     return len(seen) == vertex_count
 
 
-def oracle_has_bridge(vertex_count, edges):
-    """True iff some edge disconnects its own component when removed.
-    An edge with a parallel twin is never a bridge."""
-    from collections import Counter
-
-    multiplicity = Counter(tuple(sorted(e)) for e in edges)
-    for i, (u, v) in enumerate(edges):
-        if multiplicity[tuple(sorted((u, v)))] > 1:
-            continue
-        adjacency = [[] for _ in range(vertex_count)]
-        for j, (a, b) in enumerate(edges):
-            if j != i:
-                adjacency[a].append(b)
-                adjacency[b].append(a)
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for w in adjacency[x]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if v not in seen:
-            return True
-    return False
-
-
 def degrees(vertex_count, edges):
     out = [0] * vertex_count
     for u, v in edges:

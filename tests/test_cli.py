@@ -309,7 +309,7 @@ def _prism_open_spec():
     """The triangular prism minus a triangle edge, danglers at its ends: a
     3-regular gadget with a = b = 168 at kappa 4, so interpolate derives."""
     edges = [(1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
-    return GadgetSpec("prism-open", 3, 3, True, GadgetGraph(MultiGraph(6, edges), (0, 1)))
+    return GadgetSpec("prism-open", 3, True, GadgetGraph(MultiGraph(6, edges), (0, 1)))
 
 
 @pytest.mark.parametrize("derive", [False, True])

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from edgecolorkit import gadgets
 from edgecolorkit import (
     GadgetError,
     GadgetGraph,
@@ -39,22 +40,22 @@ from oracles import matrix_power, signature_matrix
 def test_spec_requires_two_danglers():
     base = MultiGraph(2, [(0, 1)])
     with pytest.raises(GadgetError, match="expected 2 dangling"):
-        GadgetSpec("bad", 2, 2, True, GadgetGraph(base, (0,)))
+        GadgetSpec("bad", 2, True, GadgetGraph(base, (0,)))
 
 
 def test_spec_requires_regularity_counting_danglers():
     base = MultiGraph(3, [(0, 1), (1, 2)])
     with pytest.raises(GadgetError, match="not 3-regular"):
-        GadgetSpec("bad", 3, 3, True, GadgetGraph(base, (0, 2)))
+        GadgetSpec("bad", 3, True, GadgetGraph(base, (0, 2)))
 
 
 def test_spec_requires_simple_connected_base():
     doubled = MultiGraph(2, [(0, 1), (0, 1)])
     with pytest.raises(GadgetError, match="parallel edges"):
-        GadgetSpec("bad", 3, 3, True, GadgetGraph(doubled, (0, 1)))
+        GadgetSpec("bad", 3, True, GadgetGraph(doubled, (0, 1)))
     split = MultiGraph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
     with pytest.raises(GadgetError, match="disconnected"):
-        GadgetSpec("bad", 2, 2, True, GadgetGraph(split, (3, 4)))
+        GadgetSpec("bad", 2, True, GadgetGraph(split, (3, 4)))
 
 
 def test_gadget_error_is_a_precondition_refusal():
@@ -270,6 +271,17 @@ def test_f_nonplanar_preconditions():
         build_f_nonplanar(3, 3)
     with pytest.raises(PreconditionError, match=">= 3"):
         build_f_nonplanar(4, 2)
+
+
+def test_f_nonplanar_refuses_more_edges_than_the_cap(monkeypatch):
+    # r = 1001 would have 1,002,000 edges; r = 1000, with 999,999, is allowed
+    with pytest.raises(PreconditionError, match="r\\^2-1=1002000 exceeds the cap of 1000000"):
+        build_f_nonplanar(1002, 1001)
+    # the same boundary at a cap small enough to build up to: r^2 - 1 = 15
+    monkeypatch.setattr(gadgets, "MAX_VERTICES", 15)
+    assert len(build_f_nonplanar(5, 4)[0].gadget.base.edges) == 15
+    with pytest.raises(PreconditionError, match="r\\^2-1=24 exceeds the cap of 15 edges"):
+        build_f_nonplanar(6, 5)
 
 
 # ---------------------------------------------------------------------------

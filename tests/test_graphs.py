@@ -1,5 +1,4 @@
-"""Multigraph model, text format, selected edge indices, bridges, edge
-replacement."""
+"""Multigraph model, text format, selected edge indices, edge replacement."""
 
 import random
 
@@ -17,8 +16,8 @@ from edgecolorkit import (
     replace_edges,
 )
 
-from corpus import bundle, cycle, path, prism
-from oracles import oracle_has_bridge, random_multigraph
+from corpus import bundle, cycle, prism
+from oracles import random_multigraph
 
 
 # ---------------------------------------------------------------------------
@@ -155,37 +154,6 @@ def test_edge_indices_sorts_and_validates():
         g.edge_indices([1, 1])
     with pytest.raises(PreconditionError, match="edge index 1 selected twice"):
         replace_edges(g, _two_path_gadget(), [1, 1])
-
-
-# ---------------------------------------------------------------------------
-# bridges
-
-
-def test_bridge_hand_cases():
-    assert path(2).has_bridge()
-    assert not cycle(3).has_bridge()
-    assert not bundle(2).has_bridge()
-    # doubled middle edge: the pendant edges are bridges, the pair is not
-    assert MultiGraph(4, [(0, 1), (1, 2), (1, 2), (2, 3)]).has_bridge()
-    assert not MultiGraph(3, [(0, 1), (0, 1), (1, 2), (1, 2)]).has_bridge()
-    # bowtie: cut vertex but every edge lies on a cycle
-    bowtie = MultiGraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    assert not bowtie.has_bridge()
-
-
-def test_bridge_found_in_second_component():
-    g = MultiGraph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
-    assert g.has_bridge()
-
-
-def test_bridge_matches_oracle_on_random_graphs():
-    rng = random.Random(2024)
-    for _ in range(300):
-        n = rng.randint(1, 7)
-        m = rng.randint(0, 10)
-        vc, edges = random_multigraph(rng, max(n, 2), m)
-        g = MultiGraph(vc, edges)
-        assert g.has_bridge() == oracle_has_bridge(vc, edges), edges
 
 
 # ---------------------------------------------------------------------------
