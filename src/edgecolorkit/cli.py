@@ -5,8 +5,12 @@ rerun on the same input is byte identical. Counts are serialized as
 decimal strings (they routinely exceed 2^53, which JSON numbers do not
 survive round-tripping through other tools). Errors go to stderr.
 
-One argument parser per process: built by the first main() call, reused
-by the later ones, each of which parses into a fresh namespace.
+One set of argument parsers per process: built by the first main() call,
+reused by the later ones, each of which parses into a fresh namespace. A
+command line that starts with a subcommand name is parsed once, by that
+subcommand's parser, and the top-level parser reports what it leaves
+over; otherwise the top-level parser prints help or reports a missing or
+unknown subcommand.
 
 Exit codes: 0 success, 1 a requested --check failed, 2 unreadable or
 malformed input, 3 a precondition refusal (the request was understood but
@@ -44,7 +48,15 @@ UNIQUE_ENUMERATION_BUDGET = 2 ** 24
 
 
 def _read_text(path: str) -> tuple[str, str]:
-    data = Path(path).read_bytes()
+    try:
+        f = open(path, "rb")
+    except OSError:
+        # Path("") is "." and Path("g.txt/") is "g.txt": a path that open()
+        # refuses reads, or fails naming the path, as pathlib spells it.
+        data = Path(path).read_bytes()
+    else:
+        with f:
+            data = f.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -248,15 +260,21 @@ def cmd_sat_transform(args) -> tuple[dict, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="edgecolorkit",
         description="Exact proper edge coloring counts, gadget verification,"
         " and palette reductions.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    commands = {}
 
-    p = sub.add_parser("count", help="count proper edge colorings")
+    def command(name, summary):
+        commands[name] = sub.add_parser(name, help=summary)
+        return commands[name]
+
+    p = command("count", "count proper edge colorings")
     p.add_argument("--input", required=True, help="graph file")
     p.add_argument("--kappa", type=int, required=True, help="palette size")
     p.add_argument(
@@ -266,12 +284,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="matching requires a kappa-regular graph",
     )
 
-    p = sub.add_parser("verify-gadget", help="check the c*I extension matrix shape")
+    p = command("verify-gadget", "check the c*I extension matrix shape")
     p.add_argument("--gadget", required=True, help="h3 | h4 | h5 | hstar:K[:N] | fnp:K:R")
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--output", help="write the gadget graph to a file")
 
-    p = sub.add_parser("reduce", help="equal-palette multigraph to simple graph reduction")
+    p = command("reduce", "equal-palette multigraph to simple graph reduction")
     p.add_argument("--input", required=True)
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--r", type=int, required=True, help="regularity of the input")
@@ -279,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="recount both sides")
     p.add_argument("--output", required=True, help="where to write the reduced graph")
 
-    p = sub.add_parser("interpolate", help="recover a count at kappa > r via chain replacement")
+    p = command("interpolate", "recover a count at kappa > r via chain replacement")
     p.add_argument("--input", required=True)
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--gadget", required=True, help="h3 | h4 | h5 | hstar:K[:N] | fnp:K:R")
@@ -291,20 +309,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--check", action="store_true", help="compare against a direct count")
 
-    p = sub.add_parser("unique", help="decide unique partition colorability")
+    p = command("unique", "decide unique partition colorability")
     p.add_argument("--input", required=True)
     p.add_argument("--kappa", type=int, required=True)
 
-    p = sub.add_parser("sat-transform", help="append the +1 model count variable")
+    p = command("sat-transform", "append the +1 model count variable")
     p.add_argument("--input", required=True, help="DIMACS CNF file")
     p.add_argument("--output", help="where to write the transformed formula")
 
-    return parser
+    return parser, commands
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The top-level parser's parse_args(argv): the same namespace, output
+    and exit status, with argv parsed once. The top-level parser would hand
+    all that follows a subcommand name to that subcommand's parser and
+    report what it leaves over."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    args.subcommand = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         # Looked up per call, so the cached parser holds no handler.
         report, code = globals()["cmd_" + args.subcommand.replace("-", "_")](args)

@@ -37,6 +37,8 @@ from .graphs import GadgetGraph, MultiGraph
 MAX_KAPPA = 10**6
 # A weighted run's multiplicity packs m + 1 strata, each wider as m grows.
 MAX_PACKED_BITS = 1 << 20
+# The matching decomposition holds every perfect matching at once.
+MAX_MATCHINGS = 10**6
 
 
 def _greedy_order(edges, inc, tie=None) -> list[int]:
@@ -484,7 +486,8 @@ def enumerate_perfect_matchings(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
 
     Parallel edges yield distinct matchings. Deterministic order: a
     depth-first search that matches the lowest uncovered vertex, with an
-    explicit stack, so no depth limit applies.
+    explicit stack, so no depth limit applies. Refused once more than
+    MAX_MATCHINGS are found.
     """
     n = g.vertex_count
     if n % 2:
@@ -501,6 +504,11 @@ def enumerate_perfect_matchings(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
             v += 1
         if v == n:
             out.append(tuple(chosen))
+            if len(out) > MAX_MATCHINGS:
+                raise PreconditionError(
+                    "more than %d perfect matchings; the matching decomposition"
+                    " is refused above that cap" % MAX_MATCHINGS
+                )
         else:
             covered[v] = True
             stack.append([v, 0])

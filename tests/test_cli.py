@@ -83,6 +83,19 @@ def test_count_matching_method_answers_a_deep_perfect_matching(capsys, tmp_path)
     assert json.loads(out)["count"] == "1"
 
 
+def test_count_matching_method_refuses_more_matchings_than_the_cap(capsys, monkeypatch, tmp_path):
+    b4 = tmp_path / "b4.txt"
+    b4.write_text(bundle(4).render())
+    argv = ("count", "--input", str(b4), "--kappa", "4", "--method", "matching")
+    monkeypatch.setattr(counting, "MAX_MATCHINGS", 3)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: more than 3 perfect matchings") and err.count("\n") == 1
+    monkeypatch.setattr(counting, "MAX_MATCHINGS", 4)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["count"] == "24"
+
+
 def test_out_of_memory_is_a_refusal(capsys, monkeypatch, b3_file):
     def exhausted(args):
         raise MemoryError
@@ -494,6 +507,75 @@ def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
 
 
+_VALID_ARGS = {
+    "count": ["--input", "g.txt", "--kappa", "3"],
+    "verify-gadget": ["--gadget", "h3", "--kappa", "3"],
+    "reduce": ["--input", "g.txt", "--kappa", "3", "--r", "3", "--output", "o.txt"],
+    "interpolate": ["--input", "g.txt", "--kappa", "4", "--gadget", "h3"],
+    "unique": ["--input", "g.txt", "--kappa", "3"],
+    "sat-transform": ["--input", "f.cnf"],
+}
+_BAD_CHOICES = {"count": ["--method", "greedy"], "interpolate": ["--selector", "some"]}
+
+
+def _replaced(args, option, *new):
+    """args with option and its value replaced by new."""
+    i = args.index(option)
+    return args[:i] + list(new) + args[i + 2:]
+
+
+def _parser_cases():
+    cases = [[], ["-h"], ["--help"], ["nope"], ["cou"], ["-h", "count"], ["--", "count"]]
+    for name, args in _VALID_ARGS.items():
+        cases += [
+            [name, *args],
+            [name, "-h"],
+            [name, *args, "--help"],
+            [name, *args[2:]],  # its first required option missing
+            [name, *args, "extra"],
+            [name, *args, "extra", "--other"],
+            [name, "--", *args],
+            [name, *args, "--"],
+            [name, *args, "--", "extra"],
+            [*args[:2], name, *args[2:]],  # an option before the subcommand
+        ]
+        if "--input" in args:
+            cases.append([name, *_replaced(args, "--input", "--input=g.txt")])
+            cases.append([name, *_replaced(args, "--input", "--input=")])
+            cases.append([name, *_replaced(args, "--input", "--inp", "g.txt")])
+        if "--kappa" in args:
+            cases.append([name, *_replaced(args, "--kappa", "--kap", "5")])
+            cases.append([name, *_replaced(args, "--kappa", "--kap=5")])
+            cases.append([name, *args, "--kappa", "5"])
+            cases.append([name, *_replaced(args, "--kappa", "--kappa", "three")])
+        if name in _BAD_CHOICES:
+            cases.append([name, *args, *_BAD_CHOICES[name]])
+    return cases
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _parser_cases(), ids=lambda argv: " ".join(argv) or "<none>")
+def test_parse_matches_the_top_level_parser(capsys, argv):
+    # The reference is the top-level parser parsing the whole command line:
+    # an equal namespace for a valid argv, and the same exit code, stdout
+    # and stderr for an invalid one or a help request.
+    reference = _parse_outcome(capsys, cli._build_parser()[0].parse_args, argv)
+    assert _parse_outcome(capsys, cli._parse_args, argv) == reference
+
+
+def test_parse_reads_sys_argv_by_default(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["edgecolorkit", "unique", "--input", "g.txt", "--kappa", "3"])
+    assert cli._parse_args(None) == cli._build_parser()[0].parse_args(None)
+
+
 def test_usage_error_leaves_no_state(capsys, b3_file):
     _, alone, _ = run_cli(capsys, "count", "--input", b3_file, "--kappa", "3")
     with pytest.raises(SystemExit) as exc:
@@ -527,10 +609,29 @@ def test_defaults_do_not_leak_between_calls(capsys, b3_file, k4_file, tmp_path):
 # shared error handling
 
 
-def test_missing_input_file_is_an_input_error(capsys):
+def test_missing_input_file_is_an_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "count", "--input", "/nonexistent.txt", "--kappa", "3")
     assert code == 2
     assert "error:" in err
+    for argv in (["count", "--input", str(tmp_path), "--kappa", "3"],
+                 ["sat-transform", "--input", str(tmp_path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: [Errno 21] Is a directory: %r\n" % str(tmp_path)
+
+
+def test_input_path_is_spelled_as_pathlib_spells_it(capsys, tmp_path, b3_file):
+    # A path reads as pathlib reads it: "" names the working directory, and
+    # "." components and a trailing slash are dropped.
+    code, _, err = run_cli(capsys, "count", "--input", "", "--kappa", "3")
+    assert code == 2 and err == "error: [Errno 21] Is a directory: '.'\n"
+    missing = "%s/./missing.txt" % tmp_path
+    code, _, err = run_cli(capsys, "count", "--input", missing, "--kappa", "3")
+    assert code == 2
+    assert err == "error: [Errno 2] No such file or directory: %r\n" % str(tmp_path / "missing.txt")
+    _, plain, _ = run_cli(capsys, "count", "--input", b3_file, "--kappa", "3")
+    code, slashed, _ = run_cli(capsys, "count", "--input", b3_file + "/", "--kappa", "3")
+    assert code == 0 and json.loads(slashed) == dict(json.loads(plain), input=b3_file + "/")
 
 
 @pytest.mark.parametrize("subcommand", ["count", "sat-transform"])
