@@ -7,9 +7,15 @@ survive round-tripping through other tools). Errors go to stderr.
 
 One set of argument parsers per process: built by the first main() call,
 reused by the later ones, each of which parses into a fresh namespace. A
-command line that starts with a subcommand name is parsed once, by that
-subcommand's parser, and the top-level parser reports what it leaves
-over; otherwise the top-level parser prints help or reports a missing or
+command line that starts with a subcommand name and goes on as plain
+"--option value" pairs and flags, each given once with its exact option
+string, is bound straight to that subcommand's actions: each value goes
+through the action's type and choices, and each option not given takes
+its default. Any other command line that starts with a subcommand name
+is parsed once, by that subcommand's parser, and the top-level parser
+reports what it leaves over; so argparse alone prints help and reports
+usage errors. A command line that does not start with a subcommand name
+goes to the top-level parser, which prints help or reports a missing or
 unknown subcommand.
 
 Exit codes: 0 success, 1 a requested --check failed, 2 unreadable or
@@ -48,15 +54,8 @@ UNIQUE_ENUMERATION_BUDGET = 2 ** 24
 
 
 def _read_text(path: str) -> tuple[str, str]:
-    try:
-        f = open(path, "rb")
-    except OSError:
-        # Path("") is "." and Path("g.txt/") is "g.txt": a path that open()
-        # refuses reads, or fails naming the path, as pathlib spells it.
-        data = Path(path).read_bytes()
-    else:
-        with f:
-            data = f.read()
+    with open(path, "rb") as f:
+        data = f.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -260,8 +259,11 @@ def cmd_sat_transform(args) -> tuple[dict, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's parser by name."""
+def _build_parser() -> tuple[
+    argparse.ArgumentParser, dict[str, tuple[argparse.ArgumentParser, dict[str, argparse.Action]]]
+]:
+    """The top-level parser and, by subcommand name, that subcommand's
+    parser and the Action of each of its option strings."""
     parser = argparse.ArgumentParser(
         prog="edgecolorkit",
         description="Exact proper edge coloring counts, gadget verification,"
@@ -271,65 +273,114 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     commands = {}
 
     def command(name, summary):
-        commands[name] = sub.add_parser(name, help=summary)
-        return commands[name]
+        subparser = sub.add_parser(name, help=summary)
+        options = {}
+        commands[name] = subparser, options
 
-    p = command("count", "count proper edge colorings")
-    p.add_argument("--input", required=True, help="graph file")
-    p.add_argument("--kappa", type=int, required=True, help="palette size")
-    p.add_argument(
+        def add_argument(*flags, **kwargs):
+            action = subparser.add_argument(*flags, **kwargs)
+            options.update(dict.fromkeys(action.option_strings, action))
+
+        return add_argument
+
+    add = command("count", "count proper edge colorings")
+    add("--input", required=True, help="graph file")
+    add("--kappa", type=int, required=True, help="palette size")
+    add(
         "--method",
         choices=("backtrack", "matching"),
         default="backtrack",
         help="matching requires a kappa-regular graph",
     )
 
-    p = command("verify-gadget", "check the c*I extension matrix shape")
-    p.add_argument("--gadget", required=True, help="h3 | h4 | h5 | hstar:K[:N] | fnp:K:R")
-    p.add_argument("--kappa", type=int, required=True)
-    p.add_argument("--output", help="write the gadget graph to a file")
+    add = command("verify-gadget", "check the c*I extension matrix shape")
+    add("--gadget", required=True, help="h3 | h4 | h5 | hstar:K[:N] | fnp:K:R")
+    add("--kappa", type=int, required=True)
+    add("--output", help="write the gadget graph to a file")
 
-    p = command("reduce", "equal-palette multigraph to simple graph reduction")
-    p.add_argument("--input", required=True)
-    p.add_argument("--kappa", type=int, required=True)
-    p.add_argument("--r", type=int, required=True, help="regularity of the input")
-    p.add_argument("--planar", action="store_true", help="use a planar gadget")
-    p.add_argument("--check", action="store_true", help="recount both sides")
-    p.add_argument("--output", required=True, help="where to write the reduced graph")
+    add = command("reduce", "equal-palette multigraph to simple graph reduction")
+    add("--input", required=True)
+    add("--kappa", type=int, required=True)
+    add("--r", type=int, required=True, help="regularity of the input")
+    add("--planar", action="store_true", help="use a planar gadget")
+    add("--check", action="store_true", help="recount both sides")
+    add("--output", required=True, help="where to write the reduced graph")
 
-    p = command("interpolate", "recover a count at kappa > r via chain replacement")
-    p.add_argument("--input", required=True)
-    p.add_argument("--kappa", type=int, required=True)
-    p.add_argument("--gadget", required=True, help="h3 | h4 | h5 | hstar:K[:N] | fnp:K:R")
-    p.add_argument(
+    add = command("interpolate", "recover a count at kappa > r via chain replacement")
+    add("--input", required=True)
+    add("--kappa", type=int, required=True)
+    add("--gadget", required=True, help="h3 | h4 | h5 | hstar:K[:N] | fnp:K:R")
+    add(
         "--selector",
         choices=("parallel", "all"),
         default="parallel",
         help="which edges receive chains",
     )
-    p.add_argument("--check", action="store_true", help="compare against a direct count")
+    add("--check", action="store_true", help="compare against a direct count")
 
-    p = command("unique", "decide unique partition colorability")
-    p.add_argument("--input", required=True)
-    p.add_argument("--kappa", type=int, required=True)
+    add = command("unique", "decide unique partition colorability")
+    add("--input", required=True)
+    add("--kappa", type=int, required=True)
 
-    p = command("sat-transform", "append the +1 model count variable")
-    p.add_argument("--input", required=True, help="DIMACS CNF file")
-    p.add_argument("--output", help="where to write the transformed formula")
+    add = command("sat-transform", "append the +1 model count variable")
+    add("--input", required=True, help="DIMACS CNF file")
+    add("--output", help="where to write the transformed formula")
 
     return parser, commands
 
 
+def _bind(
+    name: str, options: dict[str, argparse.Action], tokens: list[str]
+) -> argparse.Namespace | None:
+    """The namespace that the top-level parser gives for name followed by
+    tokens, when the tokens are each an exact option string, given once,
+    with a store option's value following it. None for any other shape,
+    and for a value that is empty, starts with "-", or fails the option's
+    type or choices: argparse then parses the command line and reports
+    what is wrong with it."""
+    values = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        action = options.get(token)
+        if action is None or action.dest in values:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, "")
+        if not value or value[0] == "-":
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for action in options.values():
+        if action.dest not in values:
+            if action.required:
+                return None
+            values[action.dest] = action.default
+    return argparse.Namespace(subcommand=name, **values)
+
+
 def _parse_args(argv) -> argparse.Namespace:
     """The top-level parser's parse_args(argv): the same namespace, output
-    and exit status, with argv parsed once. The top-level parser would hand
-    all that follows a subcommand name to that subcommand's parser and
-    report what it leaves over."""
+    and exit status. A command line that starts with a subcommand name is
+    bound by _bind if it can be. Otherwise it is parsed once, by that
+    subcommand's parser, to which the top-level parser would hand all that
+    follows the name, and the top-level parser reports what it leaves
+    over."""
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
+    if not argv or argv[0] not in commands:
         return parser.parse_args(argv)
+    command, options = commands[argv[0]]
+    args = _bind(argv[0], options, argv[1:])
+    if args is not None:
+        return args
     args, extras = command.parse_known_args(argv[1:])
     if extras:
         parser.error("unrecognized arguments: %s" % " ".join(extras))

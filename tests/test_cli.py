@@ -1,12 +1,16 @@
 """Command-line interface: reports, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgecolorkit import MultiGraph, cli, count_assignments, counting, parse_graph, reduction
 from edgecolorkit.gadgets import GadgetSpec
@@ -553,22 +557,128 @@ def _parser_cases():
     return cases
 
 
-def _parse_outcome(capsys, parse, argv):
-    try:
-        result = parse(list(argv))
-    except SystemExit as exc:
-        result = ("SystemExit", exc.code)
-    captured = capsys.readouterr()
-    return result, captured.out, captured.err
+def _parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = ("SystemExit", exc.code)
+    return result, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv", _parser_cases(), ids=lambda argv: " ".join(argv) or "<none>")
-def test_parse_matches_the_top_level_parser(capsys, argv):
+def _assert_parses_as_the_top_level_parser(argv):
     # The reference is the top-level parser parsing the whole command line:
     # an equal namespace for a valid argv, and the same exit code, stdout
     # and stderr for an invalid one or a help request.
-    reference = _parse_outcome(capsys, cli._build_parser()[0].parse_args, argv)
-    assert _parse_outcome(capsys, cli._parse_args, argv) == reference
+    reference = _parse_outcome(cli._build_parser()[0].parse_args, argv)
+    assert _parse_outcome(cli._parse_args, argv) == reference
+
+
+@pytest.mark.parametrize("argv", _parser_cases(), ids=lambda argv: " ".join(argv) or "<none>")
+def test_parse_matches_the_top_level_parser(argv):
+    _assert_parses_as_the_top_level_parser(argv)
+
+
+# Each subcommand's options: the values that are valid for a store option,
+# or None for a flag.
+_OPTIONS = {
+    "count": {"--input": ["g.txt"], "--kappa": ["3"], "--method": ["backtrack", "matching"]},
+    "verify-gadget": {"--gadget": ["h3"], "--kappa": ["3"], "--output": ["o.txt"]},
+    "reduce": {"--input": ["g.txt"], "--kappa": ["3"], "--r": ["3"], "--planar": None,
+               "--check": None, "--output": ["o.txt"]},
+    "interpolate": {"--input": ["g.txt"], "--kappa": ["4"], "--gadget": ["h3"],
+                    "--selector": ["parallel", "all"], "--check": None},
+    "unique": {"--input": ["g.txt"], "--kappa": ["3"]},
+    "sat-transform": {"--input": ["f.cnf"], "--output": ["o.cnf"]},
+}
+_ANY_VALUE = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["", "-", "three", "+2", "1_0", " 4", "g.txt", "greedy", "some",
+                     "all", "matching", "--kappa", "--inp", "-h", "--", "-x"]),
+)
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand's valid command line in a drawn order, with an option
+    perhaps dropped, then options and stray tokens inserted; each option is
+    spelled exactly, abbreviated or, with a value, as --opt=value."""
+    name = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[name]
+    required = _VALID_ARGS[name]
+    items = draw(st.permutations([tuple(required[i:i + 2]) for i in range(0, len(required), 2)]))
+    if draw(st.integers(0, 4)) == 0:
+        del items[draw(st.integers(0, len(items) - 1))]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 3)) == 0:
+            item = (draw(st.sampled_from(["-h", "--help", "--"]) | _ANY_VALUE),)
+        else:
+            option = draw(st.sampled_from(sorted(options)))
+            valid = options[option]
+            if valid is None:
+                item = (option,)
+            else:
+                item = (option, draw(st.sampled_from(valid) | _ANY_VALUE))
+        items.insert(draw(st.integers(0, len(items))), item)
+    argv = [name]
+    for item in items:
+        option, value = item[0], item[1:]
+        spelling = draw(st.integers(0, 7)) if option in options else 0
+        if spelling == 1:
+            argv.append(option[:draw(st.integers(3, len(option)))])
+            argv += value
+        elif spelling == 2 and value:
+            argv.append("%s=%s" % (option, value[0]))
+        else:
+            argv += item
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+@example(["count", "--input", "g.txt", "--kappa", "3", "--method", "greedy"])
+@example(["interpolate", "--selector", "some", "--input", "g.txt", "--kappa", "4",
+          "--gadget", "h3"])
+@example(["unique", "--kappa", "three", "--input", "g.txt"])
+@example(["reduce", "--planar", "--input", "g.txt", "--kappa", "3", "--r", "3",
+          "--output", "o.txt"])
+def test_parse_matches_the_top_level_parser_on_drawn_command_lines(argv):
+    _assert_parses_as_the_top_level_parser(argv)
+
+
+def _every_option(name):
+    """Every option of the subcommand, flags set, in the reverse of the
+    order the parser declares them."""
+    argv = [name]
+    for option, valid in reversed(_OPTIONS[name].items()):
+        argv += [option] if valid is None else [option, valid[-1]]
+    return argv
+
+
+def test_plain_command_lines_are_bound_without_the_subcommand_parsers(monkeypatch):
+    parser, commands = cli._build_parser()
+    plain = [[name, *args] for name, args in _VALID_ARGS.items()]
+    plain += [_every_option(name) for name in _OPTIONS]
+    expected = [parser.parse_args(argv) for argv in plain]
+    # A bad int or choice is left to argparse, which reports it.
+    declined = [["count", *_VALID_ARGS["count"], "--method", "greedy"],
+                ["interpolate", *_VALID_ARGS["interpolate"], "--selector", "some"]]
+    declined += [[name, *_replaced(args, "--kappa", "--kappa", "three")]
+                 for name, args in _VALID_ARGS.items() if "--kappa" in args]
+
+    class Declined(Exception):
+        pass
+
+    def parse_known_args(*args, **kwargs):
+        raise Declined
+
+    for command, _ in commands.values():
+        monkeypatch.setattr(command, "parse_known_args", parse_known_args)
+    assert [cli._parse_args(argv) for argv in plain] == expected
+    for argv in declined:
+        with pytest.raises(Declined):
+            cli._parse_args(argv)
 
 
 def test_parse_reads_sys_argv_by_default(monkeypatch):
@@ -620,18 +730,21 @@ def test_missing_input_file_is_an_input_error(capsys, tmp_path):
         assert err == "error: [Errno 21] Is a directory: %r\n" % str(tmp_path)
 
 
-def test_input_path_is_spelled_as_pathlib_spells_it(capsys, tmp_path, b3_file):
-    # A path reads as pathlib reads it: "" names the working directory, and
-    # "." components and a trailing slash are dropped.
-    code, _, err = run_cli(capsys, "count", "--input", "", "--kappa", "3")
-    assert code == 2 and err == "error: [Errno 21] Is a directory: '.'\n"
-    missing = "%s/./missing.txt" % tmp_path
-    code, _, err = run_cli(capsys, "count", "--input", missing, "--kappa", "3")
-    assert code == 2
-    assert err == "error: [Errno 2] No such file or directory: %r\n" % str(tmp_path / "missing.txt")
-    _, plain, _ = run_cli(capsys, "count", "--input", b3_file, "--kappa", "3")
-    code, slashed, _ = run_cli(capsys, "count", "--input", b3_file + "/", "--kappa", "3")
-    assert code == 0 and json.loads(slashed) == dict(json.loads(plain), input=b3_file + "/")
+def test_input_path_is_read_and_named_as_given(capsys, tmp_path, b3_file):
+    # A path that open() refuses is an input error naming the path as
+    # given: "" is no file, and a trailing slash makes a file path a
+    # directory path.
+    cases = [
+        ("", "[Errno 2] No such file or directory: ''"),
+        (b3_file + "/", "[Errno 20] Not a directory: %r" % (b3_file + "/")),
+        ("%s/./missing.txt" % tmp_path,
+         "[Errno 2] No such file or directory: '%s/./missing.txt'" % tmp_path),
+    ]
+    for path, message in cases:
+        for argv in (["count", "--input", path, "--kappa", "3"],
+                     ["sat-transform", "--input", path]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 @pytest.mark.parametrize("subcommand", ["count", "sat-transform"])

@@ -11,6 +11,7 @@ from edgecolorkit import (
     MultiGraph,
     ParseError,
     PreconditionError,
+    parse_dimacs,
     parse_graph,
     render_graph,
     replace_edges,
@@ -139,6 +140,39 @@ def test_render_parse_identity(data):
     )
     g = MultiGraph(n, edges)
     assert parse_graph(render_graph(g)) == g
+
+
+# Lines of either text format's directives, after a valid header or none,
+# with arguments that are mostly small numbers and otherwise numbers of
+# other spellings int() accepts or refuses, huge numbers and words. Lines
+# end in the line breaks str.splitlines knows, some of which str.split
+# also takes as spaces.
+_TOKEN = st.one_of(
+    st.integers(-2, 5).map(str),
+    st.integers(10**6 - 1, 10**40).map(str),
+    st.sampled_from(["v", "e", "d", "p", "cnf", "c", "#", "1_0", "+2", "x", "", "9" * 5000]),
+)
+_TOKEN_SOUP = st.tuples(
+    st.sampled_from(["", "v 4\n", "p cnf 3 2\n"]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["v", "e", "d", "p cnf", "p", "c", "#", "", "1", "-1"]),
+            st.lists(_TOKEN, max_size=4),
+            st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\u2028"]),
+        ),
+        max_size=10,
+    ),
+).map(lambda text: text[0] + "".join(" ".join([head, *args]) + end for head, args, end in text[1]))
+
+
+@pytest.mark.parametrize("parse", [parse_graph, parse_dimacs])
+@settings(max_examples=300, deadline=None)
+@given(text=_TOKEN_SOUP)
+def test_parsers_raise_only_input_errors_on_token_soup(parse, text):
+    try:
+        parse(text)
+    except (ParseError, PreconditionError):
+        pass
 
 
 # ---------------------------------------------------------------------------
