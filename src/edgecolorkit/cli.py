@@ -11,12 +11,8 @@ command line that starts with a subcommand name and goes on as plain
 "--option value" pairs and flags, each given once with its exact option
 string, is bound straight to that subcommand's actions: each value goes
 through the action's type and choices, and each option not given takes
-its default. Any other command line that starts with a subcommand name
-is parsed once, by that subcommand's parser, and the top-level parser
-reports what it leaves over; so argparse alone prints help and reports
-usage errors. A command line that does not start with a subcommand name
-goes to the top-level parser, which prints help or reports a missing or
-unknown subcommand.
+its default. Any other command line goes to the top-level parser, so
+argparse alone prints help and reports usage errors.
 
 Exit codes: 0 success, 1 a requested --check failed, 2 unreadable or
 malformed input, 3 a precondition refusal (the request was understood but
@@ -259,11 +255,9 @@ def cmd_sat_transform(args) -> tuple[dict, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> tuple[
-    argparse.ArgumentParser, dict[str, tuple[argparse.ArgumentParser, dict[str, argparse.Action]]]
-]:
-    """The top-level parser and, by subcommand name, that subcommand's
-    parser and the Action of each of its option strings."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The top-level parser and, by subcommand name, the Action of each of
+    that subcommand's option strings."""
     parser = argparse.ArgumentParser(
         prog="edgecolorkit",
         description="Exact proper edge coloring counts, gadget verification,"
@@ -274,8 +268,7 @@ def _build_parser() -> tuple[
 
     def command(name, summary):
         subparser = sub.add_parser(name, help=summary)
-        options = {}
-        commands[name] = subparser, options
+        options = commands[name] = {}
 
         def add_argument(*flags, **kwargs):
             action = subparser.add_argument(*flags, **kwargs)
@@ -369,23 +362,14 @@ def _bind(
 def _parse_args(argv) -> argparse.Namespace:
     """The top-level parser's parse_args(argv): the same namespace, output
     and exit status. A command line that starts with a subcommand name is
-    bound by _bind if it can be. Otherwise it is parsed once, by that
-    subcommand's parser, to which the top-level parser would hand all that
-    follows the name, and the top-level parser reports what it leaves
-    over."""
+    bound by _bind if it can be; any other goes to the top-level parser."""
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if not argv or argv[0] not in commands:
-        return parser.parse_args(argv)
-    command, options = commands[argv[0]]
-    args = _bind(argv[0], options, argv[1:])
-    if args is not None:
-        return args
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error("unrecognized arguments: %s" % " ".join(extras))
-    args.subcommand = argv[0]
-    return args
+    if argv and argv[0] in commands:
+        args = _bind(argv[0], commands[argv[0]], argv[1:])
+        if args is not None:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
