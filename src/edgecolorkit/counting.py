@@ -15,12 +15,11 @@ weighted by their number. An edge may carry a domain-invariant weight
 counted as (alpha - beta)[same] + beta[any]: [same] is the ordinary step
 and [any] two one-slot steps, one per half, all on the one step kernel,
 which keeps that symmetry. One layer is live at a time and nothing
-recurses. The cost follows the frontier width, so the order is the cheapest
-of three candidates (one greedy, two breadth-first), or of five when all
-three peak above three frontier slots (a tie-broken greedy one and a
-frontier-growing vertex order join), each scored by a cost-only pass before
-the winner's steps are built. The perfect-matching decomposition below is
-an independent route.
+recurses. The cost follows the frontier width, so the order is the greedy
+one, or, when that peaks above three frontier slots, the cheapest of it, a
+frontier-growing vertex order and the greedy order with ties broken by the
+vertex order, each scored by a cost-only pass before the winner's steps are
+built. The perfect-matching decomposition below is an independent route.
 """
 
 from __future__ import annotations
@@ -88,26 +87,6 @@ def _by_visit(edges, n, visited) -> list[int]:
     return sorted(range(len(edges)), key=keys.__getitem__)
 
 
-def _bfs_order(edges, inc, starts) -> tuple[list[int], int]:
-    """Edges in breadth-first order, and the last vertex visited. The
-    search starts at starts[0], each further component at its first vertex
-    in starts; an edge follows the later of its ends, then the earlier."""
-    seen = [False] * len(inc)
-    visited: list[int] = []
-    for s in starts:
-        if not seen[s]:
-            seen[s] = True
-            component = [s]
-            for v in component:
-                for f in inc[v]:
-                    w = edges[f][0] + edges[f][1] - v
-                    if not seen[w]:
-                        seen[w] = True
-                        component.append(w)
-            visited += component
-    return _by_visit(edges, len(inc), visited), visited[-1]
-
-
 def _frontier_order(edges, inc, starts) -> list[int]:
     """Edges along a vertex sequence grown to keep its frontier narrow.
 
@@ -116,7 +95,7 @@ def _frontier_order(edges, inc, starts) -> list[int]:
     neighbour of the sequence that opens the fewest vertices net of those
     it closes; ties go to the most visited neighbours, then the earliest
     attached, then the smallest id. A further component starts at its first
-    vertex in starts. Edges follow the sequence as in _bfs_order.
+    vertex in starts. Edges follow the sequence by _by_visit.
 
     A key changes only at a visit next door, so the heap gets a fresh entry
     then and skips an entry that differs from the vertex's stored key:
@@ -229,23 +208,18 @@ _NARROW_FRONTIER = 3
 
 
 def _best_plan(edges, inc, pinned=(), weighted=frozenset()):
-    """The cost and _plan of the cheapest candidate order. Three always
-    run: the greedy order, a breadth-first order from a minimum-degree
-    vertex, and one restarted from where that search ended. When the best
-    of them peaks above _NARROW_FRONTIER slots, two more run: the greedy
-    order with ties broken by position in the restarted one, and
-    _frontier_order. Each candidate is scored by _cost alone and only the
-    winner's steps are built; on a tie the earlier candidate is kept."""
+    """The cost and _plan of the cheapest candidate order. The greedy order
+    runs alone unless it peaks above _NARROW_FRONTIER slots; then
+    _frontier_order and the greedy order with ties broken by position in it
+    run too. Each candidate is scored by _cost alone and only the winner's
+    steps are built; on a tie the earlier candidate is kept."""
     orders = [_greedy_order(edges, inc)]
-    starts = sorted((w for w in range(len(inc)) if inc[w]), key=lambda w: len(inc[w]))
-    if starts:
-        order, last = _bfs_order(edges, inc, starts)
-        orders += [order, _bfs_order(edges, inc, [last] + starts)[0]]
-    costs = [_cost(edges, inc, order, pinned) for order in orders]
-    if min(costs)[0] > _NARROW_FRONTIER:  # so there are edges, and starts
-        more = [_greedy_order(edges, inc, orders[2]), _frontier_order(edges, inc, starts)]
-        orders += more
-        costs += [_cost(edges, inc, order, pinned) for order in more]
+    costs = [_cost(edges, inc, orders[0], pinned)]
+    if costs[0][0] > _NARROW_FRONTIER:  # so there are edges
+        starts = sorted((w for w in range(len(inc)) if inc[w]), key=lambda w: len(inc[w]))
+        frontier = _frontier_order(edges, inc, starts)
+        orders += [frontier, _greedy_order(edges, inc, frontier)]
+        costs += [_cost(edges, inc, order, pinned) for order in orders[1:]]
     best = costs.index(min(costs))
     return (costs[best], *_plan(edges, inc, orders[best], pinned, weighted))
 
@@ -624,11 +598,11 @@ def _count_partitions_capped(g: MultiGraph, kappa: int, limit: int) -> int:
     """Number of partitions of the edge set into at most kappa matchings,
     counted in canonical first-fit order and cut off once limit is reached.
 
-    The search places the edges in _bfs_order (from a minimum-degree
-    vertex), so edges that share a vertex are placed close together and a
-    conflict ends a branch soon after it arises; in input order a dead end
-    could be found only many edges after its cause. A partition is a set of
-    classes, so the count does not depend on the order.
+    The search places the edges in _greedy_order, which keeps edges that
+    share a vertex close together, so a conflict ends a branch soon after it
+    arises; in input order a dead end could be found only many edges after
+    its cause. A partition is a set of classes, so the count does not depend
+    on the order.
     """
     edges = g.edges
     n = len(edges)
@@ -637,9 +611,8 @@ def _count_partitions_capped(g: MultiGraph, kappa: int, limit: int) -> int:
     max_class = g.vertex_count // 2
     if max_class == 0 or n > kappa * max_class:
         return 0
-    inc = g.incidence_lists()
-    starts = sorted((w for w in range(len(inc)) if inc[w]), key=lambda w: len(inc[w]))
-    ends = [1 << edges[e][0] | 1 << edges[e][1] for e in _bfs_order(edges, inc, starts)[0]]
+    order = _greedy_order(edges, g.incidence_lists())
+    ends = [1 << edges[e][0] | 1 << edges[e][1] for e in order]
     classes: list[int] = []  # the vertex mask of each class
     placed = [0] * n  # the class of each placed edge
     found = i = c = 0  # i: the next edge to place, c: the first class to try

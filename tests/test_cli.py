@@ -265,6 +265,19 @@ def test_reduce_check_counts_each_side_once(capsys, monkeypatch, b3_file, tmp_pa
     assert len(counted) == 2
 
 
+def test_reduce_failed_check_exits_one(capsys, monkeypatch, b3_file, tmp_path):
+    monkeypatch.setattr(cli, "recount_certificate", lambda g, g_prime, cert: (6, 999, False))
+    code, out, _ = run_cli(
+        capsys,
+        "reduce", "--input", b3_file, "--kappa", "3", "--r", "3",
+        "--planar", "--check", "--output", str(tmp_path / "reduced.txt"),
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["check"] == {"count_input": "6", "count_output": "999", "verified": False}
+    assert report["factor"] == "8"
+
+
 def test_reduce_rejects_irregular_input(capsys, tmp_path):
     target = tmp_path / "path.txt"
     target.write_text(path(2).render())

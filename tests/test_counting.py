@@ -32,7 +32,6 @@ from edgecolorkit.counting import (
     MAX_KAPPA,
     MAX_PACKED_BITS,
     _best_plan,
-    _bfs_order,
     _cost,
     _count_partitions_capped,
     _frontier_order,
@@ -41,7 +40,7 @@ from edgecolorkit.counting import (
     _stratum_rows,
     decompose_extension,
 )
-from edgecolorkit.gadgets import MAX_MATRIX_KAPPA
+from edgecolorkit.gadgets import MAX_MATRIX_KAPPA, icosahedron_graph
 
 from corpus import (
     all_multigraphs,
@@ -513,9 +512,7 @@ def test_greedy_order_heap_matches_rescan():
         assert _greedy_order(g.edges, inc) == _greedy_order_by_rescan(g.edges, inc)
         shuffled = list(range(len(g.edges)))
         rng.shuffle(shuffled)
-        starts = sorted((w for w in range(len(inc)) if inc[w]), key=lambda w: len(inc[w]))
-        bfs = _bfs_order(g.edges, inc, starts)[0] if starts else []
-        for tie in (shuffled, bfs):
+        for tie in (shuffled, _frontier_order(g.edges, inc, _starts(inc))):
             assert _greedy_order(g.edges, inc, tie) == _greedy_order_by_rescan(g.edges, inc, tie)
 
 
@@ -570,38 +567,8 @@ def test_frontier_order_plans_long_graphs_without_recursion():
         _best_plan(g.edges, inc)
 
 
-# The planner before the fourth candidate and the cost-only scoring, kept
-# as the reference the current one must never lose to. _reference_best_plan
-# is the old _best_plan verbatim but for names; the old heap greedy order
-# is the rescan above without a tie order.
-
-
-def _reference_bfs_order(edges, inc, starts) -> tuple[list[int], int]:
-    """Edges in breadth-first order, and the last vertex visited. The
-    search starts at starts[0], each further component at its first vertex
-    in starts; an edge follows the later of its ends, then the earlier."""
-    seen = [False] * len(inc)
-    visited: list[int] = []
-    for s in starts:
-        if not seen[s]:
-            seen[s] = True
-            component = [s]
-            for v in component:
-                for f in inc[v]:
-                    w = edges[f][0] + edges[f][1] - v
-                    if not seen[w]:
-                        seen[w] = True
-                        component.append(w)
-            visited += component
-    pos = [0] * len(inc)
-    for i, v in enumerate(visited):
-        pos[v] = i
-
-    def key(e):
-        a, b = pos[edges[e][0]], pos[edges[e][1]]
-        return (max(a, b), min(a, b), e)
-
-    return sorted(range(len(edges)), key=key), visited[-1]
+# _plan and _cost in one pass, as first written: the reference for both,
+# and with the rescan orders for _best_plan.
 
 
 def _reference_plan(edges, inc, order, pinned, weighted=frozenset()):
@@ -643,22 +610,6 @@ def _reference_plan(edges, inc, order, pinned, weighted=frozenset()):
     return (peak, total), steps, pins
 
 
-def _reference_best_plan(edges, inc, pinned=(), weighted=frozenset()):
-    """The _plan of the cheapest of three candidate orders: the greedy
-    order, a breadth-first order from a minimum-degree vertex, and one
-    restarted from where that search ended. On a tie the greedy order is
-    kept."""
-    orders = [_greedy_order_by_rescan(edges, inc)]
-    starts = sorted((w for w in range(len(inc)) if inc[w]), key=lambda w: len(inc[w]))
-    if starts:
-        order, last = _reference_bfs_order(edges, inc, starts)
-        orders += [order, _reference_bfs_order(edges, inc, [last] + starts)[0]]
-    return min(
-        (_reference_plan(edges, inc, order, pinned, weighted) for order in orders),
-        key=lambda p: p[0],
-    )
-
-
 def _shuffled_multigraph(rng, vertex_count, edge_count):
     """A random multigraph whose edges come in random order and
     orientation, so that index ties fall anywhere."""
@@ -668,22 +619,33 @@ def _shuffled_multigraph(rng, vertex_count, edge_count):
     return MultiGraph(vertex_count, edges)
 
 
-def test_best_plan_never_loses_to_the_reference_planner():
+def test_best_plan_is_the_first_cheapest_rescan_candidate():
+    # Built from the rescan orders and _reference_plan alone: the greedy
+    # order, and when it peaks above _NARROW_FRONTIER slots also the
+    # frontier order and the greedy order tied by it.
     rng = random.Random(2023)
-    narrower = 0
+    narrow = 0
+    wins = [0, 0, 0]  # by candidate
     for _ in range(400):
         vc = rng.randint(2, 14)
         g = _shuffled_multigraph(rng, vc, rng.randint(0, 30))
         inc = g.incidence_lists()
         pinned = [rng.randrange(vc) for _ in range(rng.randint(0, 3))]
         weighted = frozenset(e for e in range(len(g.edges)) if rng.random() < 0.3)
-        plan = _best_plan(g.edges, inc, pinned, weighted)
-        reference = _reference_best_plan(g.edges, inc, pinned, weighted)
-        assert plan[0] <= reference[0]
-        if plan[0] == reference[0]:
-            assert plan == reference
-        narrower += plan[0][0] < reference[0][0]
-    assert narrower > 0
+        greedy = _greedy_order_by_rescan(g.edges, inc)
+        plans = [_reference_plan(g.edges, inc, greedy, pinned, weighted)]
+        if plans[0][0][0] > counting._NARROW_FRONTIER:
+            frontier = _frontier_order_by_rescan(g.edges, inc, _starts(inc))
+            plans += [
+                _reference_plan(g.edges, inc, order, pinned, weighted)
+                for order in (frontier, _greedy_order_by_rescan(g.edges, inc, frontier))
+            ]
+        else:
+            narrow += 1
+        best = min(plans, key=lambda p: p[0])
+        assert _best_plan(g.edges, inc, pinned, weighted) == best
+        wins[plans.index(best)] += 1
+    assert narrow > 0 and all(wins)
 
 
 def test_cost_matches_the_plan_it_scores():
@@ -739,6 +701,19 @@ def test_spliced_octahedron_keeps_greedy_order():
     assert kept_greedy and chosen == greedy
 
 
+def test_paper_gadgets_plan_narrow():
+    h5 = parse_gadget_name("h5").gadget
+    x, y = h5.dangling
+    closed = MultiGraph(h5.base.vertex_count, h5.base.edges + ((x, y),))
+    for g, bound in [
+        (h5.base, 5),
+        (closed, 6),
+        (icosahedron_graph(), 6),
+        (parse_gadget_name("fnp:7:5").gadget.base, 6),
+    ]:
+        assert _best_plan(g.edges, g.incidence_lists())[0][0] <= bound
+
+
 def test_spliced_prism_count_matches_certificate():
     spliced, cert = simplify_equal_case(ladder_ring(20), 3, build_h3())
     assert count_assignments(spliced, 3) == (
@@ -769,7 +744,14 @@ def test_matching_decomposition_agrees_with_backtracking():
         (petersen(), 3),
         (cycle(6), 2),
         (bundle(4), 4),
+        # edgeless: the empty coloring
+        (MultiGraph(2, []), 0),
+        # a triangle has no perfect matching
+        (cycle(3), 2),
+        # K4 in this order reaches the skip over an edge already covered
+        (MultiGraph(4, [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]), 3),
     ]
+    assert [count_by_matching_decomposition(g, r, r) for g, r in cases[-3:]] == [1, 0, 6]
     rng = random.Random(17)
     for _ in range(10):
         vc, edges = random_regular_multigraph(rng, 3, 4)
@@ -795,6 +777,11 @@ def test_spectrum_hand_cases():
     assert partition_spectrum(complete(4), 3).counts == (0, 0, 0, 1)
     assert partition_spectrum(complete(4), 4).counts == (0, 0, 0, 1, 3)
     assert partition_spectrum(MultiGraph(2, []), 3).counts == (1, 0, 0, 0)
+
+
+def test_spectrum_rejects_gadget_graph():
+    with pytest.raises(PreconditionError, match="count_extensions"):
+        partition_spectrum(GadgetGraph(bundle(2), (0, 1)), 2)
 
 
 def test_spectrum_matches_oracle_exhaustively():
