@@ -88,7 +88,7 @@ def _matrix_strings(matrix) -> list[list[str]]:
 def cmd_count(args) -> tuple[dict, int]:
     g, digest = _load_multigraph(args.input)
     if args.method == "matching":
-        count = count_by_matching_decomposition(g, args.kappa, args.kappa)
+        count = count_by_matching_decomposition(g, args.kappa)
     else:
         count = count_assignments(g, args.kappa)
     report = {

@@ -19,7 +19,8 @@ recurses. The cost follows the frontier width, so the order is the greedy
 one, or, when that peaks above three frontier slots, the cheapest of it, a
 frontier-growing vertex order and the greedy order with ties broken by the
 vertex order, each scored by a cost-only pass before the winner's steps are
-built. The perfect-matching decomposition below is an independent route.
+built. The independent route is the first-fit partition search below,
+which count_by_matching_decomposition runs on kappa-regular graphs.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .graphs import GadgetGraph, MultiGraph
 MAX_KAPPA = 10**6
 # A weighted run's multiplicity packs m + 1 strata, each wider as m grows.
 MAX_PACKED_BITS = 1 << 20
-# The matching decomposition holds every perfect matching at once.
-MAX_MATCHINGS = 10**6
+# The matching decomposition enumerates each decomposition it counts.
+MAX_DECOMPOSITIONS = 10**6
 
 
 def _greedy_order(edges, inc, tie=None) -> list[int]:
@@ -455,101 +456,28 @@ def decompose_extension(g: GadgetGraph, kappa: int) -> tuple[int, int]:
     return a, _exact(lam1 - a, kappa - 1, "b")
 
 
-def enumerate_perfect_matchings(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
-    """All perfect matchings, each as a sorted tuple of edge indices.
+def count_by_matching_decomposition(g: MultiGraph, kappa: int) -> int:
+    """Count colorings of a kappa-regular graph with kappa colors by
+    decomposition, without the frontier engine.
 
-    Parallel edges yield distinct matchings. Deterministic order: a
-    depth-first search that matches the lowest uncovered vertex, with an
-    explicit stack, so no depth limit applies. Refused once more than
-    MAX_MATCHINGS are found.
+    Every such coloring splits the edges into kappa color classes, and each
+    class meets every vertex, so it is a perfect matching. The counter
+    enumerates these partitions with _count_partitions_capped and multiplies
+    by kappa! for the color orderings. It is refused once more than
+    MAX_DECOMPOSITIONS are found. Agrees with count_assignments wherever
+    both apply.
     """
-    n = g.vertex_count
-    if n % 2:
-        return ()
-    adj = g.incidence_lists()
-    edges = g.edges
-    covered = [False] * n
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []  # the edge matched at each open vertex
-    stack: list[list[int]] = []  # [vertex, next position in adj] per open vertex
-    v = 0  # every vertex below v is covered
-    while True:
-        while v < n and covered[v]:
-            v += 1
-        if v == n:
-            out.append(tuple(chosen))
-            if len(out) > MAX_MATCHINGS:
-                raise PreconditionError(
-                    "more than %d perfect matchings; the matching decomposition"
-                    " is refused above that cap" % MAX_MATCHINGS
-                )
-        else:
-            covered[v] = True
-            stack.append([v, 0])
-        # move the deepest open vertex on to its next uncovered partner,
-        # closing the open vertices that have none left
-        while stack:
-            u, k = stack[-1]
-            # the far end of an edge at u is sum(edge) - u
-            if len(chosen) == len(stack):  # take back u's current partner
-                covered[sum(edges[chosen.pop()]) - u] = False
-            incident = adj[u]
-            while k < len(incident) and covered[sum(edges[incident[k]]) - u]:
-                k += 1
-            if k < len(incident):
-                stack[-1][1] = k + 1
-                covered[sum(edges[incident[k]]) - u] = True
-                chosen.append(incident[k])
-                break
-            covered[u] = False
-            stack.pop()
-        else:
-            return tuple(out)
-        v = u + 1
-
-
-def count_by_matching_decomposition(g: MultiGraph, kappa: int, r: int) -> int:
-    """Count colorings of an r-regular graph at kappa = r by decomposition.
-
-    Every proper r-coloring of an r-regular graph splits the edges into r
-    color classes that are each perfect matchings. The counter enumerates
-    perfect matchings once, counts exact covers of the edge set by disjoint
-    matchings, and multiplies by r! for the color orderings. Agrees with
-    count_assignments wherever both apply.
-    """
-    if kappa != r:
-        raise PreconditionError(
-            "matching decomposition not applicable (kappa=%d, r=%d)" % (kappa, r)
-        )
-    if not g.is_regular(r):
+    if not g.is_regular(kappa):
         raise PreconditionError("matching decomposition requires an r-regular graph")
-    n_edges = len(g.edges)
-    if n_edges == 0:
+    if not g.edges:  # one empty coloring, not kappa! of them
         return 1
-    pms = enumerate_perfect_matchings(g)
-    if not pms:
-        return 0
-    pm_masks = [sum(1 << i for i in pm) for pm in pms]
-    by_edge: list[list[int]] = [[] for _ in range(n_edges)]
-    for idx, pm in enumerate(pms):
-        for i in pm:
-            by_edge[i].append(idx)
-    all_mask = (1 << n_edges) - 1
-
-    def covers(used: int, start_hint: int) -> int:
-        if used == all_mask:
-            return 1
-        e = start_hint
-        while used >> e & 1:
-            e += 1
-        total = 0
-        for idx in by_edge[e]:
-            m = pm_masks[idx]
-            if not (m & used):
-                total += covers(used | m, e + 1)
-        return total
-
-    return covers(0, 0) * math.factorial(r)
+    found = _count_partitions_capped(g, kappa, MAX_DECOMPOSITIONS + 1)
+    if found > MAX_DECOMPOSITIONS:
+        raise PreconditionError(
+            "more than %d decompositions into perfect matchings; the matching"
+            " decomposition is refused above that cap" % MAX_DECOMPOSITIONS
+        )
+    return found * math.factorial(kappa)
 
 
 @dataclass(frozen=True)
@@ -580,6 +508,7 @@ def partition_spectrum(g: MultiGraph, kappa: int) -> PartitionSpectrum:
         raise PreconditionError("kappa must be nonnegative")
     if isinstance(g, GadgetGraph):
         raise PreconditionError("gadget graphs are counted via count_extensions")
+    _idle(kappa)  # refuses a palette over the cap before any engine run
     a = _counts(g, [(j, ()) for j in range(kappa + 1)])
     counts: list[int] = []
     for m in range(kappa + 1):
@@ -597,6 +526,9 @@ def partition_spectrum(g: MultiGraph, kappa: int) -> PartitionSpectrum:
 def _count_partitions_capped(g: MultiGraph, kappa: int, limit: int) -> int:
     """Number of partitions of the edge set into at most kappa matchings,
     counted in canonical first-fit order and cut off once limit is reached.
+    It never runs the frontier engine: count_by_matching_decomposition uses it
+    as the independent check of count_assignments on kappa-regular graphs,
+    and is_uniquely_partition_colorable stops it at two partitions.
 
     The search places the edges in _greedy_order, which keeps edges that
     share a vertex close together, so a conflict ends a branch soon after it

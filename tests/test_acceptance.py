@@ -118,7 +118,7 @@ def test_criterion_02_icosahedron_constant(capsys):
         assert report.matrix == scaled_identity(report.c, 5)
         closed = icosahedron_graph()
         by_backtracking = count_assignments(closed, 5)
-        by_matchings = count_by_matching_decomposition(closed, 5, 5)
+        by_matchings = count_by_matching_decomposition(closed, 5)
         assert by_backtracking == by_matchings
         assert by_backtracking == 5 * report.c
         assert report.c == 18720

@@ -78,7 +78,7 @@ def test_count_rejects_gadget_input(capsys, tmp_path):
 
 def test_count_matching_method_answers_a_deep_perfect_matching(capsys, tmp_path):
     # 1,200 matched pairs: deeper than the default recursion limit, which
-    # the perfect-matching enumeration does not use
+    # the partition search does not use
     target = tmp_path / "matching.txt"
     target.write_text(MultiGraph(2400, [(v, v + 1) for v in range(0, 2400, 2)]).render())
     code, out, err = run_cli(
@@ -88,17 +88,22 @@ def test_count_matching_method_answers_a_deep_perfect_matching(capsys, tmp_path)
     assert json.loads(out)["count"] == "1"
 
 
-def test_count_matching_method_refuses_more_matchings_than_the_cap(capsys, monkeypatch, tmp_path):
-    b4 = tmp_path / "b4.txt"
-    b4.write_text(bundle(4).render())
-    argv = ("count", "--input", str(b4), "--kappa", "4", "--method", "matching")
-    monkeypatch.setattr(counting, "MAX_MATCHINGS", 3)
+def test_count_matching_method_refuses_more_decompositions_than_the_cap(
+    capsys, monkeypatch, tmp_path
+):
+    # a doubled 4-cycle: 4-regular with parallel edges, and 4 decompositions
+    # into perfect matchings, found without the frontier engine
+    c4x2 = tmp_path / "c4x2.txt"
+    c4x2.write_text(MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)] * 2).render())
+    argv = ("count", "--input", str(c4x2), "--kappa", "4", "--method", "matching")
+    monkeypatch.setattr(counting, "_run", None)
+    monkeypatch.setattr(counting, "MAX_DECOMPOSITIONS", 3)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
-    assert err.startswith("error: more than 3 perfect matchings") and err.count("\n") == 1
-    monkeypatch.setattr(counting, "MAX_MATCHINGS", 4)
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and json.loads(out)["count"] == "24"
+    assert err.startswith("error: more than 3 decompositions") and err.count("\n") == 1
+    monkeypatch.setattr(counting, "MAX_DECOMPOSITIONS", 4)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and json.loads(out)["count"] == "96"
 
 
 def test_out_of_memory_is_a_refusal(capsys, monkeypatch, b3_file):

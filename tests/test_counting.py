@@ -19,7 +19,6 @@ from edgecolorkit import (
     count_extensions,
     count_weighted_assignments,
     cross_validate_omega_n,
-    enumerate_perfect_matchings,
     interpolation_pipeline,
     is_uniquely_partition_colorable,
     parse_gadget_name,
@@ -722,19 +721,14 @@ def test_spliced_prism_count_matches_certificate():
 
 
 # ---------------------------------------------------------------------------
-# perfect matchings and the decomposition counter
+# the matching decomposition counter
 
 
-def test_perfect_matchings_hand_cases():
-    assert enumerate_perfect_matchings(complete(4)) == ((0, 5), (1, 4), (2, 3))
-    assert enumerate_perfect_matchings(cycle(5)) == ()
-    assert enumerate_perfect_matchings(path(1)) == ((0,),)
-    # parallel edges are distinct matchings
-    assert enumerate_perfect_matchings(bundle(2)) == ((0,), (1,))
-    assert len(enumerate_perfect_matchings(cube())) == 9
+def _engine_patched_out(*args):
+    raise AssertionError("the frontier engine ran")
 
 
-def test_matching_decomposition_agrees_with_backtracking():
+def test_matching_decomposition_agrees_with_backtracking(monkeypatch):
     cases = [
         (bundle(3), 3),
         (complete(4), 3),
@@ -748,23 +742,26 @@ def test_matching_decomposition_agrees_with_backtracking():
         (MultiGraph(2, []), 0),
         # a triangle has no perfect matching
         (cycle(3), 2),
-        # K4 in this order reaches the skip over an edge already covered
+        # K4 with its edges in another order
         (MultiGraph(4, [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]), 3),
+        (icosahedron_graph(), 5),
     ]
-    assert [count_by_matching_decomposition(g, r, r) for g, r in cases[-3:]] == [1, 0, 6]
+    assert [count_assignments(g, r) for g, r in cases[-4:]] == [1, 0, 6, 5 * 18720]
     rng = random.Random(17)
-    for _ in range(10):
-        vc, edges = random_regular_multigraph(rng, 3, 4)
-        cases.append((MultiGraph(vc, edges), 3))
-    for g, r in cases:
-        assert count_by_matching_decomposition(g, r, r) == count_assignments(g, r)
+    for r, vertex_counts in [(3, [4] * 10), (4, [5, 6, 6, 7, 8]), (5, [4, 6, 6, 8, 8])]:
+        graphs = [MultiGraph(*random_regular_multigraph(rng, r, n)) for n in vertex_counts]
+        # the configuration model keeps parallel edges
+        assert any(not g.is_simple() for g in graphs)
+        cases += [(g, r) for g in graphs]
+    expected = [count_assignments(g, r) for g, r in cases]
+    # the decomposition is an independent check: it never runs the engine
+    monkeypatch.setattr(counting, "_run", _engine_patched_out)
+    assert [count_by_matching_decomposition(g, r) for g, r in cases] == expected
 
 
 def test_matching_decomposition_preconditions():
-    with pytest.raises(PreconditionError, match="not applicable"):
-        count_by_matching_decomposition(complete(4), 4, 3)
     with pytest.raises(PreconditionError, match="r-regular"):
-        count_by_matching_decomposition(path(2), 2, 2)
+        count_by_matching_decomposition(path(2), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +774,13 @@ def test_spectrum_hand_cases():
     assert partition_spectrum(complete(4), 3).counts == (0, 0, 0, 1)
     assert partition_spectrum(complete(4), 4).counts == (0, 0, 0, 1, 3)
     assert partition_spectrum(MultiGraph(2, []), 3).counts == (1, 0, 0, 0)
+
+
+def test_spectrum_refuses_kappa_over_the_cap_before_any_engine_run(monkeypatch):
+    monkeypatch.setattr(counting, "MAX_KAPPA", 50)
+    monkeypatch.setattr(counting, "_run", _engine_patched_out)
+    with pytest.raises(PreconditionError, match="exceeds the cap of 50"):
+        partition_spectrum(bundle(3), 51)
 
 
 def test_spectrum_rejects_gadget_graph():
