@@ -4,10 +4,11 @@ A proper edge coloring with palette {0..kappa-1} assigns every edge a color
 so that edges sharing a vertex always differ. All counters here are exact
 over Python integers.
 
-count_assignments, count_weighted_assignments, count_extensions and
-decompose_extension (a gadget's signature, the pair (a, b)) run on one
-engine: a forward, layered dynamic program over a static edge order
-(frontier-based search). Its state records, per color, which frontier
+count_assignments, count_weighted_assignments, count_extensions,
+decompose_extension (a gadget's signature, the pair (a, b)) and
+partition_spectrum run on one engine, which only _count enters, with one
+plan and one run per call. It is a forward, layered dynamic program over
+a static edge order (frontier-based search). Its state records, per color, which frontier
 vertices use it. The constraints never name a color, so states are kept up
 to palette permutation, and colors with equal patterns are one branch
 weighted by their number. An edge may carry a domain-invariant weight
@@ -276,29 +277,27 @@ def _idle(kappa: int) -> list[int]:
     return [0] * kappa
 
 
-def _counts(g: MultiGraph, jobs, dangling=()) -> list[int]:
-    """Colorings of g with the given danglers for each (kappa, boundary)
-    job, from one plan; each job is one engine run from its own pinned
-    start state. A palette smaller than the largest degree of g admits no
-    coloring."""
+def _count(g: MultiGraph, kappa: int, selected=frozenset(), lift: int = 1,
+           dangling=(), boundary=()) -> int:
+    """Colorings of g with palette {0..kappa-1}, from one _best_plan and
+    one _run: every count enters the engine here. The edges in selected
+    are weighted steps, their [same] term times lift (see _run); each
+    entry of dangling is a vertex holding a dangler of the color at the
+    same place in boundary, pinned in the start state."""
+    if isinstance(g, GadgetGraph):
+        raise PreconditionError("gadget graphs are counted via count_extensions")
+    if kappa < 0:
+        raise PreconditionError("kappa must be nonnegative")
     inc = g.incidence_lists()
-    top = max(map(len, inc), default=0)
-    plan = None
-    out = []
-    for kappa, boundary in jobs:
-        # a palette below the largest degree, or two danglers share a color
-        if kappa < top or len(set(zip(dangling, boundary))) < len(boundary):
-            out.append(0)
-            continue
-        if plan is None:
-            plan = _best_plan(g.edges, inc, dangling)
-        _, steps, pins = plan
-        pats = _idle(kappa)
-        for v, c in zip(dangling, boundary):
-            if v in pins:
-                pats[c] |= 1 << pins[v]
-        out.append(_run(steps, tuple(sorted(pats))))
-    return out
+    # a palette below the largest degree, or two danglers share a color
+    if kappa < max(map(len, inc), default=0) or len(set(zip(dangling, boundary))) < len(boundary):
+        return 0
+    pats = _idle(kappa)
+    _, steps, pins = _best_plan(g.edges, inc, dangling, selected)
+    for v, c in zip(dangling, boundary):
+        if v in pins:
+            pats[c] |= 1 << pins[v]
+    return _run(steps, tuple(sorted(pats)), lift)
 
 
 def count_assignments(g: MultiGraph, kappa: int) -> int:
@@ -306,11 +305,7 @@ def count_assignments(g: MultiGraph, kappa: int) -> int:
 
     kappa = 0 is permitted and yields 1 for an edgeless graph, else 0.
     """
-    if isinstance(g, GadgetGraph):
-        raise PreconditionError("gadget graphs are counted via count_extensions")
-    if kappa < 0:
-        raise PreconditionError("kappa must be nonnegative")
-    return _counts(g, [(kappa, ())])[0]
+    return _count(g, kappa)
 
 
 def count_weighted_assignments(
@@ -331,21 +326,21 @@ def count_weighted_assignments(
 
 def _weighted_strata(g: MultiGraph, kappa: int, selected: Sequence[int]) -> list[int]:
     """M_0..M_m: M_j counts the colorings of g with j selected edges in
-    [same] and the other m - j in [any], from one engine run.
+    [same] and the other m - j in [any], from one _count.
 
-    selected is checked by g.edge_indices. The run packs m + 1 strata of
-    (E + m) * bits(kappa) + m + 1 bits into each multiplicity (E edges, m
-    selected), a width quadratic in m; above MAX_PACKED_BITS it is refused
-    before the plan is built.
+    It refuses what _count refuses before g.edge_indices checks selected,
+    and a palette below the largest degree gives m + 1 zeros. The run packs
+    m + 1 strata of (E + m) * bits(kappa) + m + 1 bits into each
+    multiplicity (E edges, m selected), a width quadratic in m; above
+    MAX_PACKED_BITS it is refused before the plan is built.
     """
     if isinstance(g, GadgetGraph):
         raise PreconditionError("gadget graphs are counted via count_extensions")
     if kappa < 0:
         raise PreconditionError("kappa must be nonnegative")
     selected = frozenset(g.edge_indices(selected))
-    inc = g.incidence_lists()
     m = len(selected)
-    if kappa < max(map(len, inc), default=0):
+    if kappa < max(g.degrees(), default=0):
         return [0] * (m + 1)
     shift = (len(g.edges) + m) * kappa.bit_length() + m + 1
     if shift * (m + 1) > MAX_PACKED_BITS:
@@ -353,14 +348,13 @@ def _weighted_strata(g: MultiGraph, kappa: int, selected: Sequence[int]) -> list
             "a weighted count over m=%d selected edges packs %d-bit multiplicities,"
             " above the cap of %d bits" % (m, shift * (m + 1), MAX_PACKED_BITS)
         )
-    _, steps, _ = _best_plan(g.edges, inc, (), selected)
     # alpha[same] + beta[differ] = (alpha - beta)[same] + beta[any], so one
     # run counts the colorings with j selected edges in [same] and the rest
     # in [any] as M_j, the base-2^shift digits of one integer, and each row
     # is sum_j M_j (alpha - beta)^j beta^(m - j), by _stratum_rows. No digit
     # carries: a [same] edge takes one color and an [any] edge two, so with
     # E edges M_j <= C(m, j) kappa^(E + m - j) <= 2^m kappa^(E + m) < 2^shift.
-    packed = _run(steps, tuple(_idle(kappa)), 1 << shift)
+    packed = _count(g, kappa, selected, 1 << shift)
     return [packed >> (j * shift) & ((1 << shift) - 1) for j in range(m + 1)]
 
 
@@ -401,7 +395,7 @@ def count_extensions(g: GadgetGraph, kappa: int, boundary: Sequence[int]) -> int
     for c in boundary:
         if not (0 <= c < kappa):
             raise PreconditionError("boundary color %d outside palette" % c)
-    return _counts(g.base, [(kappa, boundary)], g.dangling)[0]
+    return _count(g.base, kappa, dangling=g.dangling, boundary=boundary)
 
 
 def _exact(num: int, den: int, what: str) -> int:
@@ -502,16 +496,17 @@ def partition_spectrum(g: MultiGraph, kappa: int) -> PartitionSpectrum:
     A proper coloring with palette size j is a partition into m nonempty
     matchings together with an injection of the m classes into the palette,
     so A(j) = sum_m P_m * j(j-1)...(j-m+1). The triangular system inverts
-    exactly over the integers.
+    exactly over the integers. No split has more classes than g has edges,
+    so only the palettes 0..min(kappa, E) are counted, one _count each, and
+    P is zero above E.
     """
     if kappa < 0:
         raise PreconditionError("kappa must be nonnegative")
-    if isinstance(g, GadgetGraph):
-        raise PreconditionError("gadget graphs are counted via count_extensions")
     _idle(kappa)  # refuses a palette over the cap before any engine run
-    a = _counts(g, [(j, ()) for j in range(kappa + 1)])
+    top = min(kappa, len(g.edges))
+    a = [_count(g, j) for j in range(top + 1)]
     counts: list[int] = []
-    for m in range(kappa + 1):
+    for m in range(top + 1):
         rem = a[m] - sum(counts[t] * math.perm(m, t) for t in range(m))
         q, leftover = divmod(rem, math.factorial(m))
         if leftover or q < 0:
@@ -520,7 +515,7 @@ def partition_spectrum(g: MultiGraph, kappa: int) -> PartitionSpectrum:
                 % (m, rem, math.factorial(m))
             )
         counts.append(q)
-    return PartitionSpectrum(kappa, tuple(counts))
+    return PartitionSpectrum(kappa, tuple(counts) + (0,) * (kappa - top))
 
 
 def _count_partitions_capped(g: MultiGraph, kappa: int, limit: int) -> int:

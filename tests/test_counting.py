@@ -680,7 +680,9 @@ def test_spliced_prism_order_is_narrow(n):
 
 
 def test_spliced_prism_with_matchings_union_is_narrow():
-    # The frontier-growing order; the other candidates peak at 13 here.
+    # The greedy order peaks at 13 slots here; the frontier-growing order
+    # and the greedy order tie-broken by it both peak at 8, and the latter
+    # wins on the frontier sum (1016 against 1028).
     spliced, cert = simplify_equal_case(ladder_ring(6), 3, build_h_star(3))
     inc = spliced.incidence_lists()
     assert _best_plan(spliced.edges, inc)[0][0] <= 8
@@ -690,7 +692,8 @@ def test_spliced_prism_with_matchings_union_is_narrow():
 
 
 def test_spliced_octahedron_keeps_greedy_order():
-    # Breadth-first orders are more than twice as wide here.
+    # The greedy order peaks at 7 slots; the frontier-growing order and
+    # the greedy order tie-broken by it both peak at 9.
     octahedron = MultiGraph(
         6,
         [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (1, 4),
@@ -774,6 +777,30 @@ def test_spectrum_hand_cases():
     assert partition_spectrum(complete(4), 3).counts == (0, 0, 0, 1)
     assert partition_spectrum(complete(4), 4).counts == (0, 0, 0, 1, 3)
     assert partition_spectrum(MultiGraph(2, []), 3).counts == (1, 0, 0, 0)
+
+
+def test_spectrum_above_the_edge_count_matches_oracle():
+    for g in [bundle(2), path(3)]:
+        for kappa in range(5, 9):
+            assert partition_spectrum(g, kappa).counts == oracle_partition_spectrum(
+                g.edges, kappa
+            ), (g.edges, kappa)
+
+
+def test_spectrum_runs_the_engine_once_above_the_edge_count(monkeypatch):
+    # palettes 0..2 are below the bundle's degree and run nothing, and no
+    # palette above its 3 edges is counted
+    runs = []
+    run = counting._run
+
+    def counted(*args):
+        runs.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(counting, "_run", counted)
+    spectrum = partition_spectrum(bundle(3), 1000)
+    assert spectrum.counts == (0, 0, 0, 1) + (0,) * 997
+    assert len(runs) == 1
 
 
 def test_spectrum_refuses_kappa_over_the_cap_before_any_engine_run(monkeypatch):
