@@ -4,6 +4,9 @@ Reports are JSON on stdout with sorted keys and fixed indentation, so a
 rerun on the same input is byte identical. Counts are serialized as
 decimal strings (they routinely exceed 2^53, which JSON numbers do not
 survive round-tripping through other tools). Errors go to stderr.
+_render gives the text of json.dumps(report, indent=2, sort_keys=True)
+with the C string escaper: with indent, json.dumps runs the pure-Python
+encoder, whose closures leave reference cycles behind on every call.
 
 One set of argument parsers per process: built by the first main() call,
 reused by the later ones, each of which parses into a fresh namespace. A
@@ -27,6 +30,7 @@ import functools
 import hashlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .cnf import BRUTE_FORCE_VARIABLE_CAP, count_sat, parse_dimacs, render_dimacs, transform_phi_prime
@@ -79,6 +83,25 @@ def _dec(value) -> str:
         return str(n)
     high, low = divmod(abs(n), 10 ** 4000)
     return "-" * (n < 0) + _dec(high) + str(low).zfill(4000)
+
+
+def _render(value, pad="\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for a value of str keys,
+    strs, ints, bools, None, dicts and lists, with pad the newline and
+    indentation that the value's own line starts with."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if value and type(value) is dict:
+        inner = pad + "  "
+        items = [encode_basestring_ascii(k) + ": " + _render(v, inner)
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if value and type(value) is list:
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_render(v, inner) for v in value]) + pad + "]"
+    return json.dumps(value)
 
 
 def _matrix_strings(matrix) -> list[list[str]]:
@@ -395,7 +418,7 @@ def main(argv=None) -> int:
     except (RecursionError, MemoryError) as exc:
         print("error: input too large to compute (%s)" % type(exc).__name__, file=sys.stderr)
         return 3
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_render(report))
     return code
 
 

@@ -126,8 +126,11 @@ def count_sat(phi: CnfFormula, cap: int = BRUTE_FORCE_VARIABLE_CAP) -> int:
     """Exact model count by exhaustive enumeration, refused above the cap.
 
     Bit-parallel: bit a of a 2^k-bit mask stands for assignment a of the
-    low k = min(n, 16) variables. Each assignment of the other variables
-    ANDs one column per clause into a models mask and adds its popcount.
+    low k = min(n, 16) variables. The column of low variable v, the
+    assignments that set it, is one period (2^v clear bits, then 2^v set
+    bits) doubled by shift-or up to 2^k bits. Each assignment of the other
+    variables ANDs one column per clause into a models mask and adds its
+    popcount.
     """
     n = phi.variable_count
     if n > cap:
@@ -138,7 +141,11 @@ def count_sat(phi: CnfFormula, cap: int = BRUTE_FORCE_VARIABLE_CAP) -> int:
     full = (1 << (1 << k)) - 1
     column = {}  # literal of a low variable -> the assignments it makes true
     for v in range(k):
-        col = full // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v))
+        col = ((1 << (1 << v)) - 1) << (1 << v)
+        width = 2 << v
+        while width < 1 << k:
+            col |= col << width
+            width *= 2
         column[v + 1], column[-v - 1] = col, full ^ col
     clauses = []
     for clause in phi.clauses:

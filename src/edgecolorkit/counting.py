@@ -52,29 +52,35 @@ def _greedy_order(edges, inc, tie=None) -> list[int]:
     opened) or left with one edge (by 3E: one more closed). The heap gets a
     fresh entry for each edge at an end at those two moments and skips an
     entry that differs from the edge's stored key, so it picks as a full
-    rescan would in O(E log E)."""
+    rescan would in O(E log E). The positions in tie come from one pass
+    over it, and the loop ends at the E-th pick, leaving the stale entries
+    in the heap."""
     m = len(edges)
-    tie = tie or range(m)
-    rank = sorted(range(m), key=tie.__getitem__)
+    if tie is None:
+        tie = rank = range(m)
+    else:
+        rank = [0] * m
+        for i, e in enumerate(tie):
+            rank[e] = i
     remaining = [len(x) for x in inc]
     keys = [(14 - 3 * ((remaining[u] == 1) + (remaining[v] == 1))) * m + rank[e]
             for e, (u, v) in enumerate(edges)]
     heap = sorted(keys)
     order = []
-    while heap:
+    for _ in range(m):
         k = heapq.heappop(heap)
+        while keys[tie[k % m]] != k:
+            k = heapq.heappop(heap)
         best = tie[k % m]
-        if keys[best] != k:
-            continue
         keys[best] = -1
         order.append(best)
         for w in edges[best]:
             remaining[w] -= 1
-            drop = 4 * (remaining[w] == len(inc[w]) - 1) + 3 * (remaining[w] == 1)
+            drop = (4 * (remaining[w] == len(inc[w]) - 1) + 3 * (remaining[w] == 1)) * m
             if drop:
                 for f in inc[w]:
                     if keys[f] >= 0:
-                        keys[f] -= drop * m
+                        keys[f] -= drop
                         heapq.heappush(heap, keys[f])
     return order
 

@@ -168,21 +168,27 @@ class GadgetGraph:
 def parse_graph(text: str) -> Union[MultiGraph, GadgetGraph]:
     """Parse the text format. Returns a GadgetGraph iff any d line appears.
 
-    Errors name the offending 1-based line.
+    Errors name the offending 1-based line. A valid e line is taken as a
+    sorted pair at once, and the edges are not checked again by
+    MultiGraph's constructor; any other line goes through every check.
     """
     vertex_count = None
     edges: list[tuple[int, int]] = []
     dangling: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         tag = parts[0]
         try:
             args = [int(p) for p in parts[1:]]
         except ValueError:
             raise ParseError("line %d: non-integer argument in %r" % (lineno, raw))
+        if tag == "e" and len(args) == 2 and vertex_count is not None:
+            u, v = args
+            if u != v and 0 <= u < vertex_count and 0 <= v < vertex_count:
+                edges.append((u, v) if u < v else (v, u))
+                continue
         if tag == "v":
             if vertex_count is not None:
                 raise ParseError("line %d: duplicate v directive" % lineno)
@@ -194,7 +200,7 @@ def parse_graph(text: str) -> Union[MultiGraph, GadgetGraph]:
                     % (lineno, args[0], MAX_VERTICES)
                 )
             vertex_count = args[0]
-        elif tag == "e":
+        elif tag == "e":  # only an invalid e line gets here
             if vertex_count is None:
                 raise ParseError("line %d: e before v directive" % lineno)
             if len(args) != 2:
@@ -202,9 +208,7 @@ def parse_graph(text: str) -> Union[MultiGraph, GadgetGraph]:
             u, v = args
             if u == v:
                 raise ParseError("line %d: self-loop at vertex %d" % (lineno, u))
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ParseError("line %d: vertex out of range" % lineno)
-            edges.append((u, v))
+            raise ParseError("line %d: vertex out of range" % lineno)
         elif tag == "d":
             if vertex_count is None:
                 raise ParseError("line %d: d before v directive" % lineno)
@@ -217,7 +221,9 @@ def parse_graph(text: str) -> Union[MultiGraph, GadgetGraph]:
             raise ParseError("line %d: unknown directive %r" % (lineno, tag))
     if vertex_count is None:
         raise ParseError("no v directive found")
-    g = MultiGraph(vertex_count, edges)
+    g = object.__new__(MultiGraph)
+    object.__setattr__(g, "vertex_count", vertex_count)
+    object.__setattr__(g, "edges", tuple(edges))
     if dangling:
         return GadgetGraph(g, dangling)
     return g

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -442,6 +443,57 @@ def test_decimal_rendering_is_str_without_the_digit_limit():
         assert rendered == [str(v) for v in values]
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# ---------------------------------------------------------------------------
+# report rendering
+
+# Text with quotes, backslashes, control characters, non-ASCII letters and
+# lone surrogates, which the escaper must write as \u escapes.
+_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\n\té'))
+_SCALARS = (_TEXT | st.integers() | st.integers(-(10 ** 4300 - 1), 10 ** 4300 - 1)
+            | st.sampled_from([True, False, None]))
+_JSON_VALUES = _SCALARS
+for _ in range(3):
+    _JSON_VALUES = _SCALARS | st.lists(_JSON_VALUES, max_size=4) | st.dictionaries(
+        _TEXT, _JSON_VALUES, max_size=4
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+@example({})
+@example([[]])
+@example({"count": None, "": [{}, [], 0, -1]})
+@example({"dimacs": "p cnf 2 1\n-1 \u00e9\\ 2 0\n" * 250})
+@example("\"" + "\udc80" * 4999)
+def test_render_matches_json_dumps(value):
+    assert cli._render(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+_REPORT_CALLS = {
+    "count": ["count", "--input", "{b3}", "--kappa", "3"],
+    "unique": ["unique", "--input", "{b3}", "--kappa", "3"],
+    "interpolate": ["interpolate", "--input", "{b3}", "--kappa", "4", "--gadget", "h3", "--check"],
+    "verify-gadget": ["verify-gadget", "--gadget", "h3", "--kappa", "3"],
+    "count-matching": ["count", "--input", "{k4}", "--kappa", "3", "--method", "matching"],
+}
+
+
+@pytest.mark.parametrize("argv", _REPORT_CALLS.values(), ids=_REPORT_CALLS.keys())
+def test_report_printing_call_leaves_no_reference_cycles(capsys, b3_file, k4_file, argv):
+    argv = [a.format(b3=b3_file, k4=k4_file) for a in argv]
+    assert cli.main(argv) == 0  # builds the parser and fills the caches
+    report = capsys.readouterr().out
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out == report
+    assert json.loads(report)["command"] == argv[0]
 
 
 # ---------------------------------------------------------------------------
