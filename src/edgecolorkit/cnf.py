@@ -14,8 +14,9 @@ count_sat checks it exhaustively (bit-parallel, up to 24 variables).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import index
 
+from ._record import Record
 from .errors import ParseError, PreconditionError
 
 BRUTE_FORCE_VARIABLE_CAP = 24
@@ -23,8 +24,7 @@ BRUTE_FORCE_VARIABLE_CAP = 24
 MAX_VARIABLES = 10**6
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(Record):
     """Clauses over variables 1..variable_count; literal v or -v. The empty
     clause is permitted (and unsatisfiable)."""
 
@@ -32,9 +32,10 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...]
 
     def __init__(self, variable_count, clauses):
+        variable_count = index(variable_count)
         if variable_count < 0:
             raise ValueError("variable count must be nonnegative")
-        normalized = tuple(tuple(c) for c in clauses)
+        normalized = tuple(tuple(map(index, c)) for c in clauses)
         for ci, clause in enumerate(normalized):
             for lit in clause:
                 if lit == 0 or abs(lit) > variable_count:

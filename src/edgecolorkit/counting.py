@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record
 from .errors import PreconditionError
 from .graphs import GadgetGraph, MultiGraph
 
@@ -480,8 +480,7 @@ def count_by_matching_decomposition(g: MultiGraph, kappa: int) -> int:
     return found * math.factorial(kappa)
 
 
-@dataclass(frozen=True)
-class PartitionSpectrum:
+class PartitionSpectrum(Record):
     """counts[m] = number of ways to split the edge set into exactly m
     nonempty pairwise-disjoint matchings, for m = 0..kappa."""
 

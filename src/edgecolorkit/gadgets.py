@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import Record
 from .counting import decompose_extension
 from .errors import GadgetError, ParseError, PreconditionError
 from .graphs import MAX_VERTICES, GadgetGraph, MultiGraph, replace_edges
@@ -25,8 +25,7 @@ from .graphs import MAX_VERTICES, GadgetGraph, MultiGraph, replace_edges
 MAX_MATRIX_KAPPA = 1000
 
 
-@dataclass(frozen=True)
-class GadgetSpec:
+class GadgetSpec(Record):
     """A validated gadget: name, regularity, a planarity claim (advisory,
     never verified here), and the graph."""
 
@@ -53,8 +52,7 @@ class GadgetSpec:
             raise GadgetError("%s: base graph is disconnected" % self.name)
 
 
-@dataclass(frozen=True)
-class KeyPropertyReport:
+class KeyPropertyReport(Record):
     """Outcome of checking that a gadget's extension matrix is c * I.
 
     The matrix is a*I + b*(J - I). holds is true iff b = 0 and a > 0, and
@@ -235,8 +233,7 @@ def build_h_star(kappa: int, n: Optional[int] = None) -> GadgetSpec:
     return GadgetSpec(name, kappa, False, GadgetGraph(base, (0, 1)))
 
 
-@dataclass(frozen=True)
-class WitnessColoring:
+class WitnessColoring(Record):
     """A concrete proper coloring: one color per base edge (by index) plus
     one color per dangling edge (in dangling order)."""
 

@@ -18,9 +18,10 @@ Blank lines are ignored, LF and CRLF both accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence, Union
 
+from ._record import Record
 from .errors import ParseError, PreconditionError
 
 # The most vertices a parsed graph may have; hstar caps its vertices and
@@ -28,15 +29,15 @@ from .errors import ParseError, PreconditionError
 MAX_VERTICES = 10**6
 
 
-@dataclass(frozen=True)
-class MultiGraph:
+class MultiGraph(Record):
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence[int]]):
+        vertex_count = index(vertex_count)
         norm = []
         for k, e in enumerate(edges):
-            u, v = int(e[0]), int(e[1])
+            u, v = index(e[0]), index(e[1])
             if u == v:
                 raise ValueError("edge %d is a self-loop at vertex %d" % (k, u))
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -45,7 +46,7 @@ class MultiGraph:
                     % (k, u, v, vertex_count)
                 )
             norm.append((u, v) if u < v else (v, u))
-        object.__setattr__(self, "vertex_count", int(vertex_count))
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(norm))
 
     @property
@@ -119,15 +120,14 @@ class MultiGraph:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class GadgetGraph:
+class GadgetGraph(Record):
     """A multigraph plus ordered dangling half-edges (attachment vertices)."""
 
     base: MultiGraph
     dangling: tuple[int, ...]
 
     def __init__(self, base: MultiGraph, dangling: Iterable[int]):
-        dang = tuple(int(v) for v in dangling)
+        dang = tuple(map(index, dangling))
         for v in dang:
             if not (0 <= v < base.vertex_count):
                 raise ValueError("dangling attachment %d out of range" % v)
@@ -233,8 +233,7 @@ def render_graph(g: Union[MultiGraph, GadgetGraph]) -> str:
     return g.render()
 
 
-@dataclass(frozen=True)
-class ReplacedBlock:
+class ReplacedBlock(Record):
     """Where one replaced edge went: the inserted copy's vertex offset, the
     two connector edge indices, and the indices of the copied base edges."""
 

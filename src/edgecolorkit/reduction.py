@@ -43,10 +43,10 @@ columns and solution are rebuilt from it exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record
 from .counting import (
     _stratum_rows,
     _weighted_strata,
@@ -71,8 +71,7 @@ from .graphs import GadgetGraph, MultiGraph, replace_edges
 from .holant import eigenvalues_ab
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
+class ReductionCertificate(Record):
     """Asserts count(g_prime, kappa) = c ** edge_count * count(g, kappa)
     for the instance the certificate was issued against."""
 
@@ -157,8 +156,7 @@ def select_gadget(kappa: int, r: int, want_planar: bool) -> GadgetSpec:
     return build_f_nonplanar(kappa, r)[0]
 
 
-@dataclass(frozen=True)
-class StratifiedSystem:
+class StratifiedSystem(Record):
     """The solved interpolation system: chain lengths n = 1..m+1 down the
     rows, merged eigenvalue products lambda1^i * lambda2^(m-i) across the
     columns, exact rational solution, the recovered count (the sum of the

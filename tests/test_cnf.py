@@ -34,6 +34,10 @@ def test_formula_validates_literals():
         CnfFormula(2, [(-3,)])
     with pytest.raises(ValueError, match="nonnegative"):
         CnfFormula(-1, [])
+    with pytest.raises(TypeError):
+        CnfFormula(2, [(1.5, -2)])
+    with pytest.raises(TypeError):
+        CnfFormula(2.0, [(1, -2)])
 
 
 # ---------------------------------------------------------------------------

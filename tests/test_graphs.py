@@ -42,6 +42,17 @@ def test_endpoint_out_of_range_rejected():
         MultiGraph(2, [(-1, 0)])
 
 
+def test_non_integer_ids_are_refused_not_truncated():
+    with pytest.raises(TypeError):
+        MultiGraph(2.7, [(0, 2)])
+    with pytest.raises(TypeError):
+        MultiGraph(3, [(0, 1.9)])
+    with pytest.raises(TypeError):
+        MultiGraph(3, [("0", 1)])
+    with pytest.raises(TypeError):
+        GadgetGraph(MultiGraph(2, [(0, 1)]), (0, 1.0))
+
+
 def test_degree_counts_parallel_edges():
     g = bundle(3)
     assert g.degrees() == (3, 3)
