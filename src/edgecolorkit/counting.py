@@ -19,15 +19,17 @@ which keeps that symmetry. One layer is live at a time and nothing
 recurses. The cost follows the frontier width, so the order is the greedy
 one, or, when that peaks above three frontier slots, the cheapest of it, a
 frontier-growing vertex order and the greedy order with ties broken by the
-vertex order, each scored by a cost-only pass before the winner's steps are
-built. The independent route is the first-fit partition search below,
-which count_by_matching_decomposition runs on kappa-regular graphs.
+vertex order, each scored by the largest frontier and then the frontier sum
+of the steps built along it. The independent route is the first-fit
+partition search below, which count_by_matching_decomposition runs on
+kappa-regular graphs.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from operator import index
 from typing import Sequence
 
 from ._record import Record
@@ -153,23 +155,26 @@ def _frontier_order(edges, inc, starts) -> list[int]:
 
 
 def _plan(edges, inc, order, pinned, weighted=frozenset()):
-    """Engine steps along an edge order, and the frontier slot of each
-    pinned vertex.
+    """The cost, engine steps and pinned slots along an edge order:
+    ((largest frontier, sum of frontier sizes after each step), steps,
+    {pinned vertex: its frontier slot}).
 
     A step is (both, keep, half): the slot bits of the edge's ends, a mask
     clearing the slots of the vertices it closes (-1 when none), and for an
     edge in weighted the slot bit of its first end (else 0). A vertex
     holds a slot from its first edge (pinned ones from the start) through
-    its last.
+    its last, so the frontier is the slots not free.
     """
+    n = len(inc)
     remaining = [len(x) for x in inc]
-    slot = [-1] * len(inc)
-    free = list(range(len(inc) - 1, -1, -1))
+    slot = [-1] * n
+    free = list(range(n - 1, -1, -1))
     for w in pinned:
         if remaining[w] and slot[w] < 0:
             slot[w] = free.pop()
     pins = {w: slot[w] for w in pinned if slot[w] >= 0}
     steps = []
+    peak = total = 0
     for e in order:
         pair = edges[e]
         both = drop = 0
@@ -184,52 +189,31 @@ def _plan(edges, inc, order, pinned, weighted=frozenset()):
                 free.append(slot[w])
         half = 1 << slot[pair[0]] if e in weighted else 0
         steps.append((both, ~drop, half))
-    return steps, pins
-
-
-def _cost(edges, inc, order, pinned):
-    """The cost of the steps _plan builds along an order: the largest
-    frontier and the sum of frontier sizes after each step."""
-    remaining = [len(x) for x in inc]
-    held = [False] * len(inc)
-    for w in pinned:
-        held[w] = remaining[w] > 0
-    size = sum(held)
-    peak = total = 0
-    for e in order:
-        for w in edges[e]:
-            if not held[w]:
-                held[w] = True
-                size += 1
-            remaining[w] -= 1
-            if not remaining[w]:
-                size -= 1
+        size = n - len(free)
+        total += size
         if size > peak:
             peak = size
-        total += size
-    return peak, total
+    return (peak, total), steps, pins
 
 
 # Up to this many frontier slots the engine holds a handful of states per
-# layer, so no further order can save what scoring it costs.
+# layer, so no further order can save what planning it costs.
 _NARROW_FRONTIER = 3
 
 
 def _best_plan(edges, inc, pinned=(), weighted=frozenset()):
-    """The cost and _plan of the cheapest candidate order. The greedy order
-    runs alone unless it peaks above _NARROW_FRONTIER slots; then
-    _frontier_order and the greedy order with ties broken by position in it
-    run too. Each candidate is scored by _cost alone and only the winner's
-    steps are built; on a tie the earlier candidate is kept."""
-    orders = [_greedy_order(edges, inc)]
-    costs = [_cost(edges, inc, orders[0], pinned)]
-    if costs[0][0] > _NARROW_FRONTIER:  # so there are edges
-        starts = sorted((w for w in range(len(inc)) if inc[w]), key=lambda w: len(inc[w]))
-        frontier = _frontier_order(edges, inc, starts)
-        orders += [frontier, _greedy_order(edges, inc, frontier)]
-        costs += [_cost(edges, inc, order, pinned) for order in orders[1:]]
-    best = costs.index(min(costs))
-    return (costs[best], *_plan(edges, inc, orders[best], pinned, weighted))
+    """The _plan of the cheapest candidate order, the earlier candidate on
+    a tie. The greedy order runs alone unless it peaks above
+    _NARROW_FRONTIER slots; then _frontier_order and the greedy order with
+    ties broken by position in it are planned too."""
+    plan = _plan(edges, inc, _greedy_order(edges, inc), pinned, weighted)
+    if plan[0][0] <= _NARROW_FRONTIER:
+        return plan
+    starts = sorted((w for w in range(len(inc)) if inc[w]), key=lambda w: len(inc[w]))
+    frontier = _frontier_order(edges, inc, starts)
+    plans = [plan] + [_plan(edges, inc, order, pinned, weighted)
+                      for order in (frontier, _greedy_order(edges, inc, frontier))]
+    return min(plans, key=lambda p: p[0])
 
 
 def _step(layer, both, keep, nxt):
@@ -369,10 +353,11 @@ def _stratum_rows(strata: Sequence[int], weights: Sequence[tuple[int, int]]) -> 
     beta) in weights, m = len(strata) - 1, by homogeneous Horner: from
     row = strata[m] down, row = row * (alpha - beta) + strata[j] * beta^(m - j)
     with the power of beta grown by one factor per step, so every product
-    has one short operand and no power is rebuilt."""
+    has one short operand and no power is rebuilt. A weight that is not an
+    integer raises TypeError."""
     rows = []
     for a, b in weights:
-        a, b = int(a), int(b)
+        a, b = index(a), index(b)
         diff, power = a - b, 1
         row = strata[-1]
         for n in reversed(strata[:-1]):
@@ -388,7 +373,7 @@ def count_extensions(g: GadgetGraph, kappa: int, boundary: Sequence[int]) -> int
     boundary lists one color per dangling half-edge, in dangling order. The
     dangling colors participate in the distinctness constraint at their
     attachment vertices (so two danglers at one vertex with equal colors give
-    zero immediately).
+    zero immediately). A color that is not an integer raises TypeError.
     """
     if len(boundary) != len(g.dangling):
         raise PreconditionError(
@@ -397,7 +382,7 @@ def count_extensions(g: GadgetGraph, kappa: int, boundary: Sequence[int]) -> int
         )
     if kappa < 1:
         raise PreconditionError("kappa must be positive")
-    boundary = [int(c) for c in boundary]
+    boundary = list(map(index, boundary))
     for c in boundary:
         if not (0 <= c < kappa):
             raise PreconditionError("boundary color %d outside palette" % c)

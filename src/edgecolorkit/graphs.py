@@ -105,8 +105,8 @@ class MultiGraph(Record):
 
     def edge_indices(self, selected: Iterable[int]) -> tuple[int, ...]:
         """The selected edge indices, sorted; an index out of range or
-        listed twice is refused."""
-        out = sorted(int(i) for i in selected)
+        listed twice is refused, and a non-integer raises TypeError."""
+        out = sorted(map(index, selected))
         for k, i in enumerate(out):
             if not (0 <= i < len(self.edges)):
                 raise PreconditionError("edge index %d out of range" % i)

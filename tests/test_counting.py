@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,6 @@ from edgecolorkit.counting import (
     MAX_KAPPA,
     MAX_PACKED_BITS,
     _best_plan,
-    _cost,
     _count_partitions_capped,
     _frontier_order,
     _greedy_order,
@@ -175,6 +175,11 @@ def test_extensions_validation():
         count_extensions(h3, 3, (0, 3))
     with pytest.raises(ValueError):
         count_extensions(h3, 0, (0, 0))
+
+
+def test_non_integer_boundary_colors_are_refused_not_truncated():
+    with pytest.raises(TypeError):
+        count_extensions(build_h3().gadget, 3, [0.7, 0.2])
 
 
 def _full_matrix(g, kappa):
@@ -382,6 +387,16 @@ def test_weighted_count_validation():
     assert count_weighted_assignments(bundle(3), 2, [0], [(1, 1), (2, 3)]) == [0, 0]
 
 
+def test_weighted_count_refuses_non_integer_edges_and_weights():
+    triangle = cycle(3)
+    with pytest.raises(TypeError):
+        count_weighted_assignments(triangle, 3, [0], [(Fraction(3, 2), 0)])
+    with pytest.raises(TypeError):
+        count_weighted_assignments(triangle, 3, [0], [(1, 0.5)])
+    with pytest.raises(TypeError):
+        count_weighted_assignments(triangle, 3, [1.9], [(1, 0)])
+
+
 @pytest.mark.parametrize(
     "name, kappa",
     [
@@ -566,8 +581,8 @@ def test_frontier_order_plans_long_graphs_without_recursion():
         _best_plan(g.edges, inc)
 
 
-# _plan and _cost in one pass, as first written: the reference for both,
-# and with the rescan orders for _best_plan.
+# _plan as first written, cost and steps in one pass: the reference for
+# _plan, and with the rescan orders for _best_plan.
 
 
 def _reference_plan(edges, inc, order, pinned, weighted=frozenset()):
@@ -647,7 +662,7 @@ def test_best_plan_is_the_first_cheapest_rescan_candidate():
     assert narrow > 0 and all(wins)
 
 
-def test_cost_matches_the_plan_it_scores():
+def test_plan_matches_the_reference_plan():
     rng = random.Random(7)
     for _ in range(100):
         vc = rng.randint(2, 10)
@@ -656,20 +671,17 @@ def test_cost_matches_the_plan_it_scores():
         pinned = [rng.randrange(vc) for _ in range(rng.randint(0, 3))]
         order = list(range(len(g.edges)))
         rng.shuffle(order)
-        cost, steps, pins = _reference_plan(g.edges, inc, order, pinned)
-        assert _cost(g.edges, inc, order, pinned) == cost
-        assert _plan(g.edges, inc, order, pinned) == (steps, pins)
+        assert _plan(g.edges, inc, order, pinned) == _reference_plan(g.edges, inc, order, pinned)
 
 
 def _widths(g, spec):
     """Largest frontier of the greedy and of the chosen edge order of g
-    with spec spliced into every edge, and whether the two orders agree."""
+    with spec spliced into every edge, and whether the two plans agree."""
     spliced, _ = simplify_equal_case(g, spec.r, spec)
     inc = spliced.incidence_lists()
-    greedy = _greedy_order(spliced.edges, inc)
+    greedy = _plan(spliced.edges, inc, _greedy_order(spliced.edges, inc), ())
     chosen = _best_plan(spliced.edges, inc)
-    kept_greedy = chosen[1:] == _plan(spliced.edges, inc, greedy, ())
-    return _cost(spliced.edges, inc, greedy, ())[0], chosen[0][0], kept_greedy
+    return greedy[0][0], chosen[0][0], chosen == greedy
 
 
 @pytest.mark.parametrize("n", [8, 10, 20])

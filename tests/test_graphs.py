@@ -201,6 +201,14 @@ def test_edge_indices_sorts_and_validates():
         replace_edges(g, _two_path_gadget(), [1, 1])
 
 
+def test_non_integer_edge_indices_are_refused_not_truncated():
+    g = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(TypeError):
+        g.edge_indices([1.9, 0.2])
+    with pytest.raises(TypeError):
+        replace_edges(g, _two_path_gadget(), [1.0])
+
+
 # ---------------------------------------------------------------------------
 # edge replacement
 

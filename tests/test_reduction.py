@@ -196,6 +196,11 @@ def test_pipeline_refuses_an_out_of_range_edge_index():
         interpolation_pipeline(bundle(2), 4, build_h3().gadget, [0, 2])
 
 
+def test_pipeline_refuses_non_integer_edge_indices():
+    with pytest.raises(TypeError):
+        interpolation_pipeline(bundle(2), 4, build_h3().gadget, [0, 1.5])
+
+
 def test_pipeline_accepts_plain_gadget_graph():
     derived = derive_distinct_diagonal(c4_gadget(), 3)
     system = interpolation_pipeline(bundle(2), 3, derived)
