@@ -218,11 +218,6 @@ def cmd_interpolate(args) -> tuple[dict, int]:
 def cmd_unique(args) -> tuple[dict, int]:
     g, digest = _load_multigraph(args.input)
     if args.kappa >= 4:
-        if g.edge_count > args.kappa and g.edge_count > 32:
-            raise PreconditionError(
-                "%d edges with kappa=%d needs the partition search, which is"
-                " refused above 32 edges" % (g.edge_count, args.kappa)
-            )
         unique = is_uniquely_partition_colorable(g, args.kappa)
         method = "classifier"
     else:

@@ -123,8 +123,8 @@ def transform_phi_prime(phi: CnfFormula) -> CnfFormula:
     return CnfFormula(y, clauses)
 
 
-def count_sat(phi: CnfFormula, cap: int = BRUTE_FORCE_VARIABLE_CAP) -> int:
-    """Exact model count by exhaustive enumeration, refused above the cap.
+def count_sat(phi: CnfFormula) -> int:
+    """Exact model count by brute force, refused above BRUTE_FORCE_VARIABLE_CAP variables.
 
     Bit-parallel: bit a of a 2^k-bit mask stands for assignment a of the
     low k = min(n, 16) variables. The column of low variable v, the
@@ -134,9 +134,9 @@ def count_sat(phi: CnfFormula, cap: int = BRUTE_FORCE_VARIABLE_CAP) -> int:
     popcount.
     """
     n = phi.variable_count
-    if n > cap:
+    if n > BRUTE_FORCE_VARIABLE_CAP:
         raise PreconditionError(
-            "%d variables exceeds the brute-force cap of %d" % (n, cap)
+            "%d variables exceeds the brute-force cap of %d" % (n, BRUTE_FORCE_VARIABLE_CAP)
         )
     k = min(n, 16)
     full = (1 << (1 << k)) - 1

@@ -14,11 +14,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgecolorkit import MultiGraph, cli, count_assignments, counting, parse_graph, reduction
+from edgecolorkit import (
+    MultiGraph,
+    PreconditionError,
+    cli,
+    count_assignments,
+    count_by_matching_decomposition,
+    counting,
+    is_uniquely_partition_colorable,
+    parse_graph,
+    reduction,
+)
 from edgecolorkit.gadgets import GadgetSpec
 from edgecolorkit.graphs import GadgetGraph
 
-from corpus import bundle, complete, path, petersen_open_spec
+from corpus import bundle, complete, complete_bipartite, path, petersen_open_spec
 
 
 def run_cli(capsys, *argv):
@@ -93,18 +103,49 @@ def test_count_matching_method_refuses_more_decompositions_than_the_cap(
     capsys, monkeypatch, tmp_path
 ):
     # a doubled 4-cycle: 4-regular with parallel edges, and 4 decompositions
-    # into perfect matchings, found without the frontier engine
+    # into perfect matchings, found without the frontier engine in 33 steps
+    # of the partition search
     c4x2 = tmp_path / "c4x2.txt"
     c4x2.write_text(MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)] * 2).render())
     argv = ("count", "--input", str(c4x2), "--kappa", "4", "--method", "matching")
     monkeypatch.setattr(counting, "_run", None)
-    monkeypatch.setattr(counting, "MAX_DECOMPOSITIONS", 3)
+    monkeypatch.setattr(counting, "MAX_SEARCH_STEPS", 32)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
-    assert err.startswith("error: more than 3 decompositions") and err.count("\n") == 1
-    monkeypatch.setattr(counting, "MAX_DECOMPOSITIONS", 4)
+    assert err == (
+        "error: the partition search over 8 edges with kappa=4 passed its budget of 32 steps\n"
+    )
+    monkeypatch.setattr(counting, "MAX_SEARCH_STEPS", 33)
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == "" and json.loads(out)["count"] == "96"
+
+
+def _triangle_and_path():
+    """A doubled triangle, which needs six classes, beside a 26-edge path:
+    32 edges with no partition into four matchings. Ruling that out takes
+    the search about 9 times the steps for every two more path edges, past
+    the default budget from 20 edges on."""
+    return MultiGraph(30, [(0, 1), (1, 2), (0, 2)] * 2 + [(i, i + 1) for i in range(3, 29)])
+
+
+def test_partition_search_is_refused_past_its_step_budget(capsys, monkeypatch, tmp_path):
+    # 1,000 steps, where K5,5's decompositions take 38,575
+    monkeypatch.setattr(counting, "MAX_SEARCH_STEPS", 1000)
+    budget = "passed its budget of 1000 steps"
+    k55 = complete_bipartite(5, 5)
+    with pytest.raises(PreconditionError, match=budget):
+        count_by_matching_decomposition(k55, 5)
+    with pytest.raises(PreconditionError, match=budget):
+        is_uniquely_partition_colorable(_triangle_and_path(), 4)
+    for name, g, argv in [
+        ("k55", k55, ("count", "--kappa", "5", "--method", "matching")),
+        ("tri", _triangle_and_path(), ("unique", "--kappa", "4")),
+    ]:
+        target = tmp_path / (name + ".txt")
+        target.write_text(g.render())
+        code, out, err = run_cli(capsys, *argv, "--input", str(target))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and budget in err and err.count("\n") == 1
 
 
 def test_out_of_memory_is_a_refusal(capsys, monkeypatch, b3_file):
@@ -519,18 +560,25 @@ def test_unique_classifier_and_spectrum_paths(capsys, tmp_path):
     assert report["method"] == "spectrum"
 
 
-def test_unique_budget_refusals(capsys, tmp_path):
+def test_unique_budget_refusals(capsys, monkeypatch, tmp_path):
     wide = tmp_path / "wide.txt"
     wide.write_text(bundle(20).render())
     code, _, err = run_cli(capsys, "unique", "--input", str(wide), "--kappa", "3")
     assert code == 3
     assert "enumeration budget" in err
 
+    # 33 parallel edges cannot fit four one-edge classes: no search at all
     wider = tmp_path / "wider.txt"
     wider.write_text(bundle(33).render())
-    code, _, err = run_cli(capsys, "unique", "--input", str(wider), "--kappa", "4")
+    code, out, _ = run_cli(capsys, "unique", "--input", str(wider), "--kappa", "4")
+    assert code == 0 and json.loads(out)["unique"] is False
+
+    monkeypatch.setattr(counting, "MAX_SEARCH_STEPS", 1000)
+    searched = tmp_path / "searched.txt"
+    searched.write_text(_triangle_and_path().render())
+    code, _, err = run_cli(capsys, "unique", "--input", str(searched), "--kappa", "4")
     assert code == 3
-    assert "refused above 32 edges" in err
+    assert "passed its budget of 1000 steps" in err
 
     code, _, err = run_cli(capsys, "unique", "--input", str(wide), "--kappa", "0")
     assert code == 3

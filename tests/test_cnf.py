@@ -168,11 +168,10 @@ def test_transform_adds_one_model_at_the_cap():
 
 
 def test_count_sat_cap():
-    with pytest.raises(PreconditionError, match="exceeds the brute-force cap"):
-        count_sat(CnfFormula(25, []))
-    with pytest.raises(PreconditionError, match="exceeds the brute-force cap"):
-        count_sat(CnfFormula(15, []), cap=14)
-    assert count_sat(CnfFormula(15, [(i,) for i in range(1, 16)]), cap=15) == 1
+    assert BRUTE_FORCE_VARIABLE_CAP == 24
+    assert count_sat(CnfFormula(24, [(i,) for i in range(1, 25)])) == 1
+    with pytest.raises(PreconditionError, match="25 variables exceeds the brute-force cap of 24"):
+        count_sat(CnfFormula(25, [(i,) for i in range(1, 26)]))
 
 
 # ---------------------------------------------------------------------------

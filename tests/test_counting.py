@@ -779,6 +779,15 @@ def test_matching_decomposition_preconditions():
         count_by_matching_decomposition(path(2), 2)
 
 
+def test_partition_search_rejects_gadget_graph():
+    # h3's gadget is 3-regular with its danglers, so the search is reached
+    h3 = build_h3().gadget
+    with pytest.raises(PreconditionError, match="count_extensions"):
+        count_by_matching_decomposition(h3, 3)
+    with pytest.raises(PreconditionError, match="count_extensions"):
+        is_uniquely_partition_colorable(h3, 4)
+
+
 # ---------------------------------------------------------------------------
 # partition spectrum
 
